@@ -17,9 +17,9 @@ Equivalent CLI session:
         --scenario degradation --cycles 40 --failure-cycle 200
 """
 
-from valvehealth import (MonitorConfig, MonitorEvent, degradation_source,
-                         gen_fault_dataset, gen_rul_dataset, run_monitor,
-                         train_fault, train_rul)
+from valvehealth import (DegradationState, FaultCondition, MonitorConfig,
+                         MonitorEvent, gen_fault_dataset, gen_rul_dataset,
+                         run_monitor, scenario_source, train_fault, train_rul)
 from valvehealth.tinynn import Loss, TrainConfig
 
 FAILURE_CYCLE = 200
@@ -36,8 +36,11 @@ def main():
     print(f"  fault accuracy {fault_report.accuracy:.3f}, "
           f"RUL MAE {rul_report.mae_cycles:.1f} cycles\n")
 
-    codes, triggers = degradation_source(n_cycles=N_CYCLES,
-                                         failure_cycle=FAILURE_CYCLE, seed=3)
+    # actuation i runs at wear cycle 5 * i, so severity reaches 1 at i = 40
+    schedule = [(FaultCondition.good(),
+                 DegradationState(cycle=5 * i, failure_cycle=FAILURE_CYCLE))
+                for i in range(N_CYCLES)]
+    codes, triggers = scenario_source(schedule, seed=3)
     cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5, rul_alarm_threshold=100.0)
 
     print(f"monitoring {N_CYCLES} actuations (failure at cycle {FAILURE_CYCLE}, "

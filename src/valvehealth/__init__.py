@@ -10,18 +10,17 @@ all into the live monitor loop exposed by the ``valvehealth`` CLI.
 
 from .acquisition import (BankHandle, PingPongBuffer, TimingReport,
                           buffer_fill_duration, max_cycles, run_acquisition)
-from .features import (ExtractionConfig, FeatureVector, TransientFeatures,
-                       detect_rising_edges, extract_all, extract_features)
+from .features import (ExtractionConfig, TransientFeatures, detect_rising_edges,
+                       extract_all, extract_features)
 from .models import (Dataset, EvalReport, build_fault_model, build_rul_model,
                      evaluate, gen_fault_dataset, gen_rul_dataset,
                      split_dataset, train_fault, train_rul)
 from .pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
-                       constant_fault_source, degradation_source, run_monitor)
+                       run_monitor, scenario_source)
 from .tinynn import (Activation, LayerSpec, Loss, Mlp, ModelKind, TrainConfig,
                      TrainHistory, infer, restore, save, train)
 from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
-                       TransientTrace, ValveParams, adc_quantize,
-                       current_to_voltage, degrade, raw_to_current,
-                       sensor_gain, synth_transient)
+                       TransientTrace, ValveParams, current_to_voltage,
+                       degrade, sensor_gain, synth_transient)
 
 __version__ = "0.1.0"

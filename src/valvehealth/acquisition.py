@@ -72,14 +72,6 @@ class PingPongBuffer:
         self._lock = threading.Lock()
 
     @property
-    def active_bank(self) -> str:
-        return "ab"[self._active]
-
-    @property
-    def write_pos(self) -> int:
-        return self._write_pos
-
-    @property
     def overrun_count(self) -> int:
         return self._overruns
 
@@ -161,19 +153,18 @@ class TimingReport:
 
 def run_acquisition(source, k: int, fs: float, consumer,
                     clock: str = "virtual", f_op: float | None = None,
-                    deliver_partial: bool = True,
                     buf: PingPongBuffer | None = None) -> TimingReport:
     """Drive a sample stream through a ping-pong buffer.
 
     ``consumer(handle)`` is invoked for every filled bank and is responsible
     for releasing it; a consumer that holds banks too long causes counted
-    overruns instead of crashes. With ``clock="virtual"`` pushes are paced by
-    logical time (deterministic, as fast as the machine allows); with
-    ``"realtime"`` the producer paces pushes at ``fs`` on the wall clock and
-    the consumer runs on its own thread. Wall-clock consumer durations are
-    measured in both modes. A trailing partial bank is delivered unless
-    ``deliver_partial`` is false. Pass ``buf`` to reuse a caller-owned
-    buffer (the consumer needs it to release handles).
+    overruns instead of crashes. With ``clock="virtual"`` the consumer runs
+    inline and pushes are unpaced (deterministic, as fast as the machine
+    allows); with ``"realtime"`` the producer paces pushes at ``fs`` on the
+    wall clock and the consumer runs on its own thread. Wall-clock consumer
+    durations are measured in both modes. A trailing partial bank is
+    delivered at the end of the stream. Pass ``buf`` to reuse a
+    caller-owned buffer (the consumer needs it to release handles).
     """
     b_fd = buffer_fill_duration(k, fs)  # validates k, fs
     if clock not in ("virtual", "realtime"):
@@ -189,45 +180,37 @@ def run_acquisition(source, k: int, fs: float, consumer,
         consumer(handle)
         durations.append(time.perf_counter() - t0)
 
-    if clock == "virtual":
-        for code in source:
-            handle = buf.push_sample(code)
-            if handle is not None:
-                timed_consume(handle)
-        if deliver_partial:
-            handle = buf.flush()
-            if handle is not None:
-                timed_consume(handle)
-    else:
+    realtime = clock == "realtime"
+    if realtime:
         handoff: queue.Queue = queue.Queue()
-        done = object()
 
         def worker():
-            while True:
-                item = handoff.get()
-                if item is done:
-                    return
-                timed_consume(item)
+            for handle in iter(handoff.get, None):
+                timed_consume(handle)
 
         thread = threading.Thread(target=worker, daemon=True)
         thread.start()
-        period = 1.0 / fs
-        next_deadline = time.perf_counter()
-        try:
-            for code in source:
-                handle = buf.push_sample(code)
-                if handle is not None:
-                    handoff.put(handle)
+        deliver = handoff.put
+    else:
+        deliver = timed_consume
+    period = 1.0 / fs
+    next_deadline = time.perf_counter()
+    try:
+        for code in source:
+            handle = buf.push_sample(code)
+            if handle is not None:
+                deliver(handle)
+            if realtime:  # inline: a pacing generator around source costs more CPU
                 next_deadline += period
                 delay = next_deadline - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-            if deliver_partial:
-                handle = buf.flush()
-                if handle is not None:
-                    handoff.put(handle)
-        finally:
-            handoff.put(done)
+        handle = buf.flush()
+        if handle is not None:
+            deliver(handle)
+    finally:
+        if realtime:
+            handoff.put(None)
             thread.join()
 
     mean_it_pb = sum(durations) / len(durations) if durations else None

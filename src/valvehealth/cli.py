@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -22,7 +23,7 @@ from .features import ExtractionConfig, extract_all, write_features_csv
 from .models import FAULT_CLASSES
 from .pipeline import MonitorConfig
 from .tinynn import Loss, ModelKind, TrainConfig
-from .waveform import (DegradationState, FaultCondition, FaultKind,
+from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
                        TransientTrace, ValveParams, codes_to_current,
                        current_to_codes, read_trace_csv, synth_transient,
                        write_trace_csv)
@@ -39,15 +40,18 @@ def _fault_condition(name: str, voltage: float | None) -> FaultCondition:
 
 
 def _cmd_simulate(args) -> int:
+    if not 0.0 <= args.severity <= 1.0:
+        raise ParameterError(f"--severity must be in [0, 1], got {args.severity}")
     fault = _fault_condition(args.fault, args.voltage)
     params = ValveParams(temperature=args.temperature, pressure=args.pressure)
     deg = DegradationState(cycle=round(args.severity * 1_000_000), failure_cycle=1_000_000)
     if args.cycles == 1:
-        trace = synth_transient(params, fault, deg, noise_std=args.noise, seed=args.seed)
+        trace = synth_transient(params, fault, deg, noise_std=args.noise, seed=args.seed,
+                                adc=AdcConfig(sample_rate=args.fs))
     else:
-        codes, _ = pipeline.constant_fault_source(
-            fault, args.cycles, f_op=args.fop, fs=args.fs, params=params,
-            severity=args.severity, noise_std=args.noise, seed=args.seed)
+        codes, _ = pipeline.scenario_source(
+            [(fault, deg)] * args.cycles, f_op=args.fop, fs=args.fs, params=params,
+            noise_std=args.noise, seed=args.seed)
         trace = TransientTrace(codes_to_current(codes), args.fs)
     write_trace_csv(trace, args.out)
     print(f"wrote {len(trace.samples)} samples to {args.out}")
@@ -143,17 +147,21 @@ def _cmd_monitor(args) -> int:
                         rul_alarm_threshold=args.rul_threshold,
                         fault_alarm_threshold=args.fault_threshold,
                         clock=args.clock)
-    if args.scenario == "degradation":
-        codes, _ = pipeline.degradation_source(
-            n_cycles=args.cycles, failure_cycle=args.failure_cycle,
-            f_op=args.fop, fs=args.fs, noise_std=args.noise, seed=args.seed)
-    elif args.scenario in _FAULT_CHOICES:
-        fault = _fault_condition(args.scenario, args.voltage)
-        codes, _ = pipeline.constant_fault_source(
-            fault, args.cycles, f_op=args.fop, fs=args.fs,
-            noise_std=args.noise, seed=args.seed)
+    if args.scenario in _SCENARIO_CHOICES:
+        if args.scenario == "degradation":  # actuation i runs at wear cycle 5 * i
+            schedule = [(FaultCondition.good(),
+                         DegradationState(cycle=i * 5, failure_cycle=args.failure_cycle))
+                        for i in range(args.cycles)]
+        else:
+            schedule = [(_fault_condition(args.scenario, args.voltage),
+                         DegradationState(cycle=0, failure_cycle=1_000_000))] * args.cycles
+        codes, _ = pipeline.scenario_source(schedule, f_op=args.fop, fs=args.fs,
+                                            noise_std=args.noise, seed=args.seed)
     else:
         trace = read_trace_csv(args.scenario)
+        if not math.isclose(trace.sample_rate, cfg.fs, rel_tol=1e-3):
+            raise ParameterError(f"{args.scenario} is sampled at {trace.sample_rate:g} Hz "
+                                 f"but --fs is {cfg.fs:g} Hz")
         codes = current_to_codes(trace.samples)
 
     excfg = ExtractionConfig.for_sample_rate(cfg.fs)

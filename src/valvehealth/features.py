@@ -85,21 +85,6 @@ class TransientFeatures:
     di_dt: float     # mA/ms
     auc: float       # mA
 
-    @property
-    def vector(self) -> "FeatureVector":
-        return FeatureVector(self.di_dt, self.auc)
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """The (di/dt, AUC) pair consumed by the classifiers and the regressor."""
-
-    di_dt: float
-    auc: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.di_dt, self.auc], dtype=np.float64)
-
 
 def detect_rising_edges(samples, cfg: ExtractionConfig = ExtractionConfig()) -> list[int]:
     """Locate actuation edges; returns their zero indices in scan order.

@@ -26,16 +26,11 @@ from .waveform import (DegradationState, FaultCondition, FaultKind, ValveParams,
 # Class order fixes the one-hot layout and the confusion-matrix axes.
 FAULT_CLASSES: tuple[FaultKind, ...] = (FaultKind.GOOD, FaultKind.SPOOL_STUCK,
                                         FaultKind.SPRING_FAILURE, FaultKind.UNDER_VOLTAGE)
-FaultLabel = FaultKind
 
 # Under-voltage rows sample the 8-14 V band the faulty valve was driven over.
 UNDER_VOLTAGE_RANGE = (8.0, 14.0)
 
 DEFAULT_FAULT_COUNTS = (600, 200, 200, 400)
-
-
-def label_index(kind: FaultKind) -> int:
-    return FAULT_CLASSES.index(kind)
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:

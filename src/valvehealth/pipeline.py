@@ -10,8 +10,8 @@ Actuations that straddle a bank boundary are handled by carrying the last
 (lower_window + frame) samples of each bank into the next bank's analysis
 window; edges are de-duplicated by their global sample index.
 
-Clocks: with ``virtual`` the producer is paced by logical time and all
-emitted timestamps/latencies are deterministic (sample-derived microseconds
+Clocks: with ``virtual`` the producer is unpaced, the consumer runs inline
+and all emitted timestamps/latencies are deterministic (sample-derived microseconds
 and processing-step counts). Wall-clock latencies are still measured and
 reported on the returned TimingReport, so performance assertions work in
 either mode. With ``realtime`` pushes are paced on the wall clock and the
@@ -22,20 +22,18 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import tinynn
-from .acquisition import (PingPongBuffer, TimingReport, buffer_fill_duration,
-                          max_cycles, run_acquisition)
+from .acquisition import PingPongBuffer, TimingReport, run_acquisition
 from .errors import ExtractionError, ParameterError
 from .features import ExtractionConfig, detect_rising_edges, extract_features
 from .models import FAULT_CLASSES
 from .tinynn import Mlp, ModelKind
-from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
-                       ValveParams, codes_to_current, current_to_codes,
-                       transient_current)
+from .waveform import (AdcConfig, FaultKind, ValveParams, codes_to_current,
+                       current_to_codes, transient_current)
 
 
 @dataclass(frozen=True)
@@ -145,29 +143,10 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
         state["bank"] += 1
 
     buf = PingPongBuffer(cfg.k)  # caller-owned so consume() can release handles
-    report = run_acquisition(source, cfg.k, cfg.fs, consume,
-                             clock=cfg.clock, f_op=cfg.f_op, buf=buf)
-    report.inference_time_per_cycle = sum(it_pc) / len(it_pc) if it_pc else None
-    return events, report
-
-
-def timing_report(cfg: MonitorConfig, it_pc_seconds, it_pb_seconds,
-                  overrun_count: int = 0) -> TimingReport:
-    """Assemble a report from measured per-cycle and per-buffer durations."""
-    it_pb = list(it_pb_seconds)
-    if not it_pb:
-        raise ParameterError("timing_report needs at least one processed buffer")
-    it_pc = list(it_pc_seconds)
-    return TimingReport(
-        k=cfg.k, fs=cfg.fs, f_op=cfg.f_op,
-        buffer_fill_duration=buffer_fill_duration(cfg.k, cfg.fs),
-        max_cycles=max_cycles(cfg.k, cfg.f_op, cfg.fs),
-        inference_time_per_cycle=sum(it_pc) / len(it_pc) if it_pc else None,
-        inference_time_per_buffer=sum(it_pb) / len(it_pb),
-        lossless=overrun_count == 0,
-        overrun_count=overrun_count,
-        banks_delivered=len(it_pb),
-    )
+    acquired = run_acquisition(source, cfg.k, cfg.fs, consume,
+                               clock=cfg.clock, f_op=cfg.f_op, buf=buf)
+    return events, replace(acquired, inference_time_per_cycle=(
+        sum(it_pc) / len(it_pc) if it_pc else None))
 
 
 def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig | None = None) -> str:
@@ -220,68 +199,30 @@ def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
     return json.dumps(payload)
 
 
-def _cycle_segment(params: ValveParams, fault: FaultCondition, deg: DegradationState,
-                   period: int, fs: float) -> np.ndarray:
-    """Analog mA for one operation period: energized half, then released."""
-    on = period // 2
-    t_ms = np.arange(on) * (1000.0 / fs)
-    seg = np.empty(period)
-    seg[:on] = transient_current(params, fault, deg, t_ms)
-    seg[on:] = params.idle_current
-    return seg
+def scenario_source(schedule, f_op: float = 0.5, fs: float = 1000.0,
+                    params: ValveParams | None = None, noise_std: float = 1.0,
+                    seed: int = 0, adc: AdcConfig = AdcConfig()):
+    """Raw-code stream with one actuation per ``(FaultCondition,
+    DegradationState)`` pair in ``schedule``.
 
-
-def constant_fault_source(fault: FaultCondition, n_cycles: int,
-                          f_op: float = 0.5, fs: float = 1000.0,
-                          params: ValveParams | None = None, severity: float = 0.0,
-                          noise_std: float = 1.0, seed: int = 0,
-                          adc: AdcConfig = AdcConfig()):
-    """Raw-code stream of ``n_cycles`` identical actuations.
-
+    After 60 ms of idle lead-in, each actuation occupies one operation
+    period: energized for the first half, released for the second.
     Returns ``(codes, trigger_indices)`` where the trigger indices are the
     ground-truth actuation starts (for event-completeness checks).
     """
-    if n_cycles < 1:
-        raise ParameterError("n_cycles must be >= 1")
-    if not 0.0 <= severity <= 1.0:
-        raise ParameterError("severity must be in [0, 1]")
+    schedule = list(schedule)
+    if not schedule:
+        raise ParameterError("schedule needs at least one actuation")
     params = params or ValveParams()
     period = round(fs / f_op)
+    on = period // 2
     lead = round(60 * fs / 1000.0)
-    deg = DegradationState(cycle=round(severity * 1_000_000), failure_cycle=1_000_000)
+    t_ms = np.arange(on) * (1000.0 / fs)
 
-    analog = [np.full(lead, params.idle_current)]
-    triggers = []
-    for i in range(n_cycles):
-        triggers.append(lead + i * period)
-        analog.append(_cycle_segment(params, fault, deg, period, fs))
-    stream = np.concatenate(analog)
-    if noise_std > 0:
-        stream = stream + np.random.default_rng(seed).normal(0.0, noise_std, stream.size)
-    return current_to_codes(stream, adc), triggers
-
-
-def degradation_source(n_cycles: int = 40, failure_cycle: int = 200, cycle_step: int = 5,
-                       f_op: float = 0.5, fs: float = 1000.0,
-                       params: ValveParams | None = None, noise_std: float = 1.0,
-                       seed: int = 0, adc: AdcConfig = AdcConfig()):
-    """Raw-code stream of a valve wearing out: actuation i runs at cycle
-    ``i * cycle_step``, sweeping severity toward 1. Returns
-    ``(codes, trigger_indices)``."""
-    if n_cycles < 1:
-        raise ParameterError("n_cycles must be >= 1")
-    params = params or ValveParams()
-    period = round(fs / f_op)
-    lead = round(60 * fs / 1000.0)
-
-    analog = [np.full(lead, params.idle_current)]
-    triggers = []
-    for i in range(n_cycles):
-        deg = DegradationState(cycle=min(i * cycle_step, failure_cycle),
-                               failure_cycle=failure_cycle)
-        triggers.append(lead + i * period)
-        analog.append(_cycle_segment(params, FaultCondition.good(), deg, period, fs))
-    stream = np.concatenate(analog)
+    stream = np.full(lead + len(schedule) * period, params.idle_current)
+    triggers = [lead + i * period for i in range(len(schedule))]
+    for start, (fault, deg) in zip(triggers, schedule):
+        stream[start:start + on] = transient_current(params, fault, deg, t_ms)
     if noise_std > 0:
         stream = stream + np.random.default_rng(seed).normal(0.0, noise_std, stream.size)
     return current_to_codes(stream, adc), triggers

@@ -272,7 +272,6 @@ class TrainConfig:
     epsilon: float = 1e-7
     seed: int = 0
     loss: Loss = Loss.CATEGORICAL_CROSS_ENTROPY
-    shuffle: bool = True
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -331,7 +330,7 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     history = TrainHistory()
 
     for epoch in range(1, cfg.epochs + 1):
-        order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+        order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]

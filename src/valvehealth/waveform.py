@@ -221,19 +221,6 @@ def current_to_voltage(i_ma: float, gain: float) -> float:
     return i_ma / 1000.0 * gain
 
 
-def adc_quantize(v: float, cfg: AdcConfig = AdcConfig()) -> int:
-    """Truncating, saturating conversion of a voltage to a raw ADC code."""
-    clamped = min(max(v, 0.0), cfg.full_scale)
-    return int(math.floor(clamped / cfg.full_scale * cfg.max_code))
-
-
-def raw_to_current(code: int, cfg: AdcConfig = AdcConfig()) -> float:
-    """Invert the sensing chain: raw code back to drive current in mA."""
-    if not 0 <= code <= cfg.max_code:
-        raise ParameterError(f"code must be in [0, {cfg.max_code}], got {code}")
-    return code / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
-
-
 def current_to_codes(i_ma: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndarray:
     """Vectorized analog-current to raw-code conversion."""
     v = np.asarray(i_ma, dtype=np.float64) / 1000.0 * cfg.gain

@@ -35,6 +35,18 @@ def trained_rul(rul_dataset):
         epochs=50, batch_size=10, seed=0, loss=Loss.MEAN_ABSOLUTE_ERROR))
 
 
+def constant_schedule(fault: FaultCondition, n_cycles: int):
+    """``scenario_source`` schedule of ``n_cycles`` identical, unworn actuations."""
+    return [(fault, DegradationState(cycle=0, failure_cycle=1_000_000))] * n_cycles
+
+
+def degradation_schedule(n_cycles: int, failure_cycle: int = 200):
+    """``scenario_source`` schedule of a good valve wearing out: actuation i
+    runs at wear cycle ``5 * i``."""
+    return [(FaultCondition.good(), DegradationState(cycle=5 * i, failure_cycle=failure_cycle))
+            for i in range(n_cycles)]
+
+
 def random_synthetic_trace(seed: int) -> np.ndarray:
     """One randomized multi-actuation sample stream for oracle-equivalence
     sweeps: random valve, fault, severity, noise and actuation count.

@@ -1,14 +1,32 @@
 """Naive reference implementations used as independent test oracles.
 
 Everything here is a literal, loop-based transcription of the documented
-edge-detection and feature-extraction contracts: window means are recomputed
-from scratch with plain Python accumulation, scans have no vectorization or
-early exits beyond what the contract itself states. The production code must
-agree with these bit-for-bit on indices and to 1e-9 on reals.
+sensing-chain, edge-detection and feature-extraction contracts: codes are
+converted one scalar at a time, window means are recomputed from scratch
+with plain Python accumulation, scans have no vectorization or early exits
+beyond what the contract itself states. The production code must agree with
+these bit-for-bit on codes and indices and to 1e-9 on reals.
 """
 
-from valvehealth.errors import (DegenerateTransientError, NoActuationError)
+import math
+
+from valvehealth.errors import (DegenerateTransientError, NoActuationError,
+                                ParameterError)
 from valvehealth.features import ExtractionConfig
+from valvehealth.waveform import AdcConfig
+
+
+def adc_quantize(v: float, cfg: AdcConfig = AdcConfig()) -> int:
+    """Truncating, saturating conversion of a voltage to a raw ADC code."""
+    clamped = min(max(v, 0.0), cfg.full_scale)
+    return int(math.floor(clamped / cfg.full_scale * cfg.max_code))
+
+
+def raw_to_current(code: int, cfg: AdcConfig = AdcConfig()) -> float:
+    """Invert the sensing chain: raw code back to drive current in mA."""
+    if not 0 <= code <= cfg.max_code:
+        raise ParameterError(f"code must be in [0, {cfg.max_code}], got {code}")
+    return code / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
 
 
 def naive_mean(samples, start, stop):

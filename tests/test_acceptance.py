@@ -8,7 +8,7 @@ with the production defaults (epochs 50, batch 10, RMSProp).
 import numpy as np
 import pytest
 
-from conftest import random_synthetic_trace
+from conftest import constant_schedule, degradation_schedule, random_synthetic_trace
 from reference import naive_extract_all
 from test_tinynn import finite_difference_check
 from valvehealth import models, tinynn
@@ -17,9 +17,7 @@ from valvehealth.errors import (DegenerateTransientError, ModelFormatError,
                                 NoActuationError)
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
                                   extract_features)
-from valvehealth.pipeline import (MonitorConfig, MonitorEvent,
-                                  constant_fault_source, degradation_source,
-                                  run_monitor)
+from valvehealth.pipeline import MonitorConfig, MonitorEvent, run_monitor, scenario_source
 from valvehealth.tinynn import (Activation, LayerSpec, Loss, new_mlp,
                                 parameter_counts, serialize, deserialize)
 from valvehealth.waveform import (FaultCondition, current_to_voltage,
@@ -164,7 +162,7 @@ def test_criterion_10_end_to_end_monitor(trained_fault, trained_rul):
     fault_model, rul_model = trained_fault[0], trained_rul[0]
 
     # degradation scenario: one event per actuation, alarm before failure
-    codes, triggers = degradation_source(n_cycles=40, failure_cycle=200, seed=0)
+    codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200), seed=0)
     cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5)
     events, _ = run_monitor(iter(codes), fault_model, rul_model, cfg)
     mons = [e for e in events if isinstance(e, MonitorEvent)]
@@ -175,9 +173,9 @@ def test_criterion_10_end_to_end_monitor(trained_fault, trained_rul):
     # measured per-buffer inference beats the fill duration on every
     # reference (K, f_op) configuration at 1 kHz
     for k, f_op, _ in TABLE5:
-        src, _ = constant_fault_source(FaultCondition.good(),
-                                       max(int(np.ceil(k * f_op / 1000)) + 1, 2),
-                                       f_op=f_op, fs=1000.0, seed=1)
+        n_cycles = max(int(np.ceil(k * f_op / 1000)) + 1, 2)
+        src, _ = scenario_source(constant_schedule(FaultCondition.good(), n_cycles),
+                                 f_op=f_op, fs=1000.0, seed=1)
         cfg_k = MonitorConfig(k=k, fs=1000.0, f_op=f_op)
         _, report = run_monitor(iter(src), fault_model, rul_model, cfg_k)
         assert report.inference_time_per_buffer is not None

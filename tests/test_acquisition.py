@@ -155,18 +155,6 @@ class TestRunAcquisition:
         run_acquisition(iter(range(250)), 100, 1000.0, consumer, buf=buf)
         assert sizes == [100, 100, 50]
 
-    def test_partial_delivery_can_be_disabled(self):
-        sizes = []
-        buf = PingPongBuffer(100)
-
-        def consumer(handle):
-            sizes.append(len(handle))
-            buf.release(handle)
-
-        run_acquisition(iter(range(250)), 100, 1000.0, consumer, buf=buf,
-                        deliver_partial=False)
-        assert sizes == [100, 100]
-
     def test_starved_consumer_counts_overruns(self):
         held = []
         buf = PingPongBuffer(50)
@@ -233,8 +221,9 @@ class TestConcurrency:
         assert np.array_equal(np.concatenate(chunks), src)
         assert buf.overrun_count == 0
 
-    def test_realtime_clock_smoke(self):
-        fs, k, n = 50_000.0, 200, 2000
+    @pytest.mark.parametrize("n", [2000, 2050])  # 2050 ends in a partial bank
+    def test_realtime_clock_smoke(self, n):
+        fs, k = 50_000.0, 200
         src = quantized_sine(1000.0, fs, n)
         chunks = []
         buf = PingPongBuffer(k)

@@ -32,6 +32,25 @@ class TestSimulate:
         trace = read_trace_csv(out)
         assert trace.samples.size == 165
 
+    def test_single_actuation_honours_fs(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--fs", "10000", "--cycles", "1",
+                             "--out", str(out))
+        assert code == 0
+        trace = read_trace_csv(out)
+        assert trace.samples.size == 1650
+        assert np.allclose(np.diff(trace.times_ms), 0.1)
+
+    @pytest.mark.parametrize("cycles", ["1", "3"])
+    @pytest.mark.parametrize("severity", ["1.5", "-0.1"])
+    def test_severity_out_of_range(self, capsys, tmp_path, cycles, severity):
+        out = tmp_path / "trace.csv"
+        code, _, err = run_cli(capsys, "simulate", "--severity", severity,
+                               "--cycles", cycles, "--out", str(out))
+        assert code == 1
+        assert "--severity" in err
+        assert not out.exists()
+
     def test_under_voltage_plateau(self, capsys, tmp_path):
         out = tmp_path / "uv.csv"
         code, _, _ = run_cli(capsys, "simulate", "--fault", "under_voltage",
@@ -212,6 +231,18 @@ class TestMonitor:
         assert len(events) == 1
         assert events[0]["predicted_class"] == "spool_stuck"
         assert events[0]["alarm"] is True
+
+    def test_trace_rate_must_match_fs(self, capsys, workdir, tmp_path):
+        trace = tmp_path / "t10k.csv"
+        run_cli(capsys, "simulate", "--fs", "10000", "--out", str(trace))
+        code, out, err = run_cli(
+            capsys, "monitor",
+            "--fault-model", str(workdir / "fault.pmnn"),
+            "--rul-model", str(workdir / "rul.pmnn"),
+            "--scenario", str(trace), "--k", "200")
+        assert code == 1
+        assert out == ""
+        assert "sampled at 10000 Hz" in err and "--fs is 1000 Hz" in err
 
     def test_corrupt_model_file(self, capsys, workdir, tmp_path):
         blob = bytearray((workdir / "fault.pmnn").read_bytes())

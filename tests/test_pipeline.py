@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
+from conftest import constant_schedule, degradation_schedule
 from valvehealth.errors import ParameterError
 from valvehealth.pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
-                                  constant_fault_source, degradation_source,
                                   event_to_json, report_to_json, run_monitor,
-                                  timing_report)
+                                  scenario_source)
 from valvehealth.tinynn import Activation, LayerSpec, Mlp, ModelKind
-from valvehealth.waveform import FaultCondition, FaultKind
+from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
+                                  ValveParams, current_to_codes, transient_current)
 
 
 def forced_classifier(logits):
@@ -34,8 +35,8 @@ class TestEventCompleteness:
     @pytest.mark.parametrize("k", [1000, 2000, 5000, 10000])
     @pytest.mark.parametrize("f_op", [0.5, 1.0, 2.0])
     def test_one_event_per_actuation(self, k, f_op):
-        codes, triggers = constant_fault_source(FaultCondition.good(), 9,
-                                                f_op=f_op, fs=1000.0, seed=1)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 9),
+                                          f_op=f_op, fs=1000.0, seed=1)
         cfg = MonitorConfig(k=k, fs=1000.0, f_op=f_op)
         events, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                      forced_regressor(5000.0), cfg)
@@ -48,8 +49,8 @@ class TestEventCompleteness:
 
     def test_edge_straddling_bank_boundary(self):
         # place an actuation so its 100-sample frame crosses the bank edge
-        codes, triggers = constant_fault_source(FaultCondition.good(), 3,
-                                                f_op=2.0, fs=1000.0, seed=2)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 3),
+                                          f_op=2.0, fs=1000.0, seed=2)
         k = triggers[1] + 40  # frame of actuation 2 extends past bank 0
         cfg = MonitorConfig(k=k, fs=1000.0, f_op=2.0)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
@@ -76,7 +77,7 @@ class TestAlarmPredicate:
 
     @pytest.mark.parametrize("logits,rul,expect", CASES)
     def test_alarm_matches_predicate(self, logits, rul, expect):
-        codes, _ = constant_fault_source(FaultCondition.good(), 2, seed=3)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 2), seed=3)
         cfg = MonitorConfig(k=4000, fs=1000.0, f_op=0.5)
         events, _ = run_monitor(iter(codes), forced_classifier(logits),
                                 forced_regressor(rul), cfg)
@@ -88,7 +89,7 @@ class TestAlarmPredicate:
             assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_rul_clamped_at_zero(self):
-        codes, _ = constant_fault_source(FaultCondition.good(), 1, seed=4)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 1), seed=4)
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(-250.0), cfg)
@@ -98,7 +99,7 @@ class TestAlarmPredicate:
 
 class TestDeterminism:
     def test_identical_runs_identical_events(self):
-        codes, _ = degradation_source(n_cycles=12, failure_cycle=60, seed=5)
+        codes, _ = scenario_source(degradation_schedule(12, failure_cycle=60), seed=5)
         cfg = MonitorConfig(k=5000, fs=1000.0, f_op=0.5)
 
         def run():
@@ -111,7 +112,7 @@ class TestDeterminism:
         assert run() == run()
 
     def test_virtual_timestamps_sample_derived(self):
-        codes, triggers = constant_fault_source(FaultCondition.good(), 2, seed=6)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 2), seed=6)
         cfg = MonitorConfig(k=5000, fs=1000.0, f_op=0.5)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(5000.0), cfg)
@@ -124,7 +125,7 @@ class TestDiagnostics:
         # an instant step is detectable but degenerate; the stream continues
         # into a healthy actuation afterwards
         step = np.concatenate([np.zeros(100), np.full(200, 3000)]).astype(int)
-        good, triggers = constant_fault_source(FaultCondition.good(), 1, seed=7)
+        good, triggers = scenario_source(constant_schedule(FaultCondition.good(), 1), seed=7)
         codes = np.concatenate([step, np.zeros(50, dtype=int), good])
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
@@ -145,20 +146,8 @@ class TestDiagnostics:
 
 
 class TestTimingReport:
-    def test_algebra_in_report(self):
-        cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
-        report = timing_report(cfg, [0.001], [0.01])
-        assert report.buffer_fill_duration == 2.0
-        assert report.max_cycles == 1.0
-        assert report.it_pb_under_fill
-
-    def test_needs_processed_buffer(self):
-        cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
-        with pytest.raises(ParameterError):
-            timing_report(cfg, [], [])
-
     def test_monitor_report_measures_wall_time(self):
-        codes, _ = constant_fault_source(FaultCondition.good(), 4, seed=8)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 4), seed=8)
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
         _, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(5000.0), cfg)
@@ -169,7 +158,7 @@ class TestTimingReport:
 
 class TestJsonEmission:
     def test_event_json_fields(self):
-        codes, _ = constant_fault_source(FaultCondition.spool_stuck(), 1, seed=9)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.spool_stuck(), 1), seed=9)
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
         events, report = run_monitor(iter(codes), forced_classifier([0, 9, 0, 0]),
                                      forced_regressor(5000.0), cfg)
@@ -204,16 +193,15 @@ class TestJsonEmission:
 
 class TestScenarioSources:
     def test_constant_source_trigger_layout(self):
-        codes, triggers = constant_fault_source(FaultCondition.good(), 5,
-                                                f_op=2.0, fs=1000.0, seed=10)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 5),
+                                          f_op=2.0, fs=1000.0, seed=10)
         assert triggers == [60 + i * 500 for i in range(5)]
         assert len(codes) == 60 + 5 * 500
 
     def test_degradation_source_sweeps_to_failure(self, trained_fault, trained_rul):
         fault_model = trained_fault[0]
         rul_model = trained_rul[0]
-        codes, triggers = degradation_source(n_cycles=40, failure_cycle=200,
-                                             seed=11)
+        codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200), seed=11)
         cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5)
         events, _ = run_monitor(iter(codes), fault_model, rul_model, cfg)
         mons = monitor_events(events)
@@ -225,10 +213,28 @@ class TestScenarioSources:
         rul_fit = np.polyfit(np.arange(len(mons)), [e.rul for e in mons], 1)
         assert rul_fit[0] < 0
 
+    def test_mixed_schedule_segments(self):
+        fs, f_op = 1000.0, 2.0
+        conditions = [FaultCondition.good(), FaultCondition.spool_stuck(),
+                      FaultCondition.spring_failure(), FaultCondition.under_voltage(10.0)]
+        schedule = [(fault, DegradationState(cycle=wear, failure_cycle=100))
+                    for fault, wear in zip(conditions, [0, 30, 60, 100])]
+        codes, triggers = scenario_source(schedule, f_op=f_op, fs=fs, noise_std=0.0)
+        params = ValveParams()
+        period = 500
+        on = period // 2
+        idle = current_to_codes(np.array([params.idle_current]))[0]
+        assert triggers == [60 + i * period for i in range(len(schedule))]
+        assert len(codes) == 60 + len(schedule) * period
+        assert np.all(codes[:60] == idle)
+        t_ms = np.arange(on) * (1000.0 / fs)
+        for trigger, (fault, deg) in zip(triggers, schedule):
+            expected = current_to_codes(transient_current(params, fault, deg, t_ms))
+            assert np.array_equal(codes[trigger:trigger + on], expected)
+            assert np.all(codes[trigger + on:trigger + period] == idle)
+
     def test_bad_args(self):
         with pytest.raises(ParameterError):
-            constant_fault_source(FaultCondition.good(), 0)
+            scenario_source(constant_schedule(FaultCondition.good(), 0))
         with pytest.raises(ParameterError):
-            constant_fault_source(FaultCondition.good(), 1, severity=1.5)
-        with pytest.raises(ParameterError):
-            degradation_source(n_cycles=0)
+            scenario_source(degradation_schedule(0))

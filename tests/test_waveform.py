@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from reference import adc_quantize, raw_to_current
 from valvehealth.errors import CsvFormatError, ParameterError
 from valvehealth.features import extract_all
 from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition,
                                   FaultKind, TransientTrace, ValveParams,
-                                  adc_quantize, codes_to_current,
-                                  current_to_codes, current_to_voltage, degrade,
-                                  effective_transient, raw_to_current,
-                                  read_trace_csv, sensor_gain, synth_transient,
+                                  codes_to_current, current_to_codes,
+                                  current_to_voltage, degrade,
+                                  effective_transient, read_trace_csv,
+                                  sensor_gain, synth_transient,
                                   transient_current, write_trace_csv)
 
 GOOD = FaultCondition.good()
