@@ -56,7 +56,7 @@ def main():
         print(f"  {cycle:>5} {event.predicted_class.value:<15} "
               f"{p_fault:>9.3f} {event.rul:>7.0f}  {flag}")
 
-    events, report = run_monitor(iter(codes), fault_model, rul_model, cfg,
+    events, report = run_monitor(codes, fault_model, rul_model, cfg,
                                  on_event=on_event)
 
     mons = [e for e in events if isinstance(e, MonitorEvent)]

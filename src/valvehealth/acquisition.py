@@ -7,6 +7,15 @@ valid until released. If a bank must be refilled while the consumer still
 holds it, the write proceeds (newest data wins) and the overrun counter
 increments, so data loss is counted, never silent.
 
+The producer moves data a block at a time: each block is at most the active
+bank's free space and is copied in with one slice assignment, so a bank
+costs one copy, not K per-sample stores. Under the realtime clock the
+producer sleeps once per block, until the block's last sample is due, and
+a bank handed to the consumer stays its own for one fill duration unless
+released first: a producer that wakes late and catches up waits for the
+release before reusing the bank, so an overrun always means the consumer
+held a bank for longer than ``K / fs``.
+
 Timing algebra for a bank of K samples at rate fs with actuations at f_op:
 
     buffer_fill_duration = K / fs
@@ -17,6 +26,7 @@ Single producer, single consumer only.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import threading
 import time
@@ -59,21 +69,30 @@ class BankHandle:
 class PingPongBuffer:
     """Two fixed banks of raw ADC codes with atomic role switching."""
 
-    def __init__(self, k: int, dtype=np.int32):
+    dtype = np.dtype(np.int32)
+    _range = np.iinfo(dtype)
+
+    def __init__(self, k: int):
         if k <= 0:
             raise ParameterError("bank size k must be > 0")
         self.k = k
-        self._banks = [np.zeros(k, dtype=dtype), np.zeros(k, dtype=dtype)]
+        self._banks = [np.zeros(k, dtype=self.dtype), np.zeros(k, dtype=self.dtype)]
         self._active = 0
         self._write_pos = 0
         self._seq = 0
         self._held: list[BankHandle | None] = [None, None]
         self._overruns = 0
         self._lock = threading.Lock()
+        self._released = threading.Condition(self._lock)
 
     @property
     def overrun_count(self) -> int:
         return self._overruns
+
+    @property
+    def free(self) -> int:
+        """Samples the active bank can still take before it switches."""
+        return self.k - self._write_pos
 
     def _hand_out(self, bank_index: int, length: int) -> BankHandle:
         view = self._banks[bank_index][:length].view()
@@ -83,15 +102,28 @@ class PingPongBuffer:
         self._seq += 1
         return handle
 
-    def push_sample(self, code: int) -> BankHandle | None:
-        """Store one sample; returns a handle when this push fills the bank.
+    def push_block(self, codes) -> BankHandle | None:
+        """Copy a block of at most ``free`` codes into the active bank;
+        returns a handle when the block fills it.
 
-        The switch into the other bank counts an overrun if the consumer
-        still holds it (its outstanding handle then observes overwrites).
+        A code that does not fit the bank's dtype raises OverflowError
+        before anything is written. The switch into the other bank counts
+        an overrun if the consumer still holds it (its outstanding handle
+        then observes overwrites).
         """
-        self._banks[self._active][self._write_pos] = code
-        self._write_pos += 1
-        if self._write_pos < self.k:
+        block = np.asarray(codes)
+        start = self._write_pos
+        end = start + block.size
+        if end > self.k:
+            raise ParameterError(f"block of {block.size} exceeds the bank's "
+                                 f"free space of {self.free}")
+        if block.size and not np.can_cast(block.dtype, self.dtype):
+            lo, hi = block.min(), block.max()
+            if not (self._range.min <= lo and hi <= self._range.max):
+                raise OverflowError(f"codes in [{lo}, {hi}] do not fit {self.dtype}")
+        self._banks[self._active][start:end] = block
+        self._write_pos = end
+        if end < self.k:
             return None
         with self._lock:
             filled = self._active
@@ -103,6 +135,10 @@ class PingPongBuffer:
             self._active = incoming
             self._write_pos = 0
         return handle
+
+    def push_sample(self, code: int) -> BankHandle | None:
+        """Store one sample; ``push_block`` of a one-code block."""
+        return self.push_block(np.fromiter((code,), self.dtype, 1))
 
     def flush(self) -> BankHandle | None:
         """Deliver the partially filled active bank (end of stream)."""
@@ -120,7 +156,14 @@ class PingPongBuffer:
         with self._lock:
             if self._held[handle.bank_index] is handle:
                 self._held[handle.bank_index] = None
+                self._released.notify()
             handle.released = True
+
+    def wait_incoming(self, timeout: float) -> None:
+        """Wait up to ``timeout`` seconds for the consumer to release the
+        bank that the next switch reuses; returns at once if it is free."""
+        with self._released:
+            self._released.wait_for(lambda: self._held[1 - self._active] is None, timeout)
 
 
 @dataclass
@@ -130,6 +173,8 @@ class TimingReport:
     ``inference_time_*`` are wall-clock means (seconds); per-cycle figures
     are filled in by the monitor pipeline, which knows about actuations.
     ``lossless`` holds exactly when no bank was reused before release.
+    ``producer_lag_max`` is the worst lateness, in seconds, of a block push
+    against the due time of its last sample (None under the virtual clock).
     """
 
     k: int
@@ -142,6 +187,7 @@ class TimingReport:
     lossless: bool
     overrun_count: int
     banks_delivered: int
+    producer_lag_max: float | None
 
     @property
     def it_pb_under_fill(self) -> bool | None:
@@ -151,20 +197,44 @@ class TimingReport:
         return self.inference_time_per_buffer < self.buffer_fill_duration
 
 
+def _blocks(source, buf: PingPongBuffer):
+    """``source`` in blocks of at most ``buf.free`` codes, each sized as it
+    is drawn. An ndarray is sliced; any other iterable goes through
+    ``np.fromiter`` in the bank's dtype, which rejects a value that does not
+    fit as a store would."""
+    if isinstance(source, np.ndarray):
+        pos = 0
+        while pos < source.size:
+            block = source[pos:pos + buf.free]
+            pos += block.size
+            yield block
+    else:
+        it = iter(source)
+        while (block := np.fromiter(itertools.islice(it, buf.free), buf.dtype)).size:
+            yield block
+
+
 def run_acquisition(source, k: int, fs: float, consumer,
                     clock: str = "virtual", f_op: float | None = None,
                     buf: PingPongBuffer | None = None) -> TimingReport:
     """Drive a sample stream through a ping-pong buffer.
 
+    ``source`` is an ndarray of codes (sliced) or any iterable of them.
     ``consumer(handle)`` is invoked for every filled bank and is responsible
     for releasing it; a consumer that holds banks too long causes counted
-    overruns instead of crashes. With ``clock="virtual"`` the consumer runs
-    inline and pushes are unpaced (deterministic, as fast as the machine
-    allows); with ``"realtime"`` the producer paces pushes at ``fs`` on the
-    wall clock and the consumer runs on its own thread. Wall-clock consumer
-    durations are measured in both modes. A trailing partial bank is
-    delivered at the end of the stream. Pass ``buf`` to reuse a
-    caller-owned buffer (the consumer needs it to release handles).
+    overruns instead of crashes. Each pass reads a block of at most the
+    active bank's free space and pushes it whole. With ``clock="virtual"``
+    the consumer runs inline and pushes are unpaced (deterministic, as fast
+    as the machine allows); with ``"realtime"`` the consumer runs on its own
+    thread and the producer sleeps once per block, until the block's last
+    sample is due at ``fs`` on the wall clock, so each bank is handed over
+    when its last sample is due; before a switch it waits, for at most the
+    fill duration after the previous handover, for the consumer to release
+    the bank it reuses. A consumer that raises stops the producer and the
+    error is re-raised to the caller under either clock.
+    Wall-clock consumer durations are measured in both modes. A trailing
+    partial bank is delivered at the end of the stream. Pass ``buf`` to
+    reuse a caller-owned buffer (the consumer needs it to release handles).
     """
     b_fd = buffer_fill_duration(k, fs)  # validates k, fs
     if clock not in ("virtual", "realtime"):
@@ -173,7 +243,9 @@ def run_acquisition(source, k: int, fs: float, consumer,
         buf = PingPongBuffer(k)
     elif buf.k != k:
         raise ParameterError(f"buffer bank size {buf.k} does not match k={k}")
+    start = time.perf_counter()  # sample 0 is due now; starting the worker must not shift it
     durations: list[float] = []
+    crashed: list[Exception] = []
 
     def timed_consume(handle):
         t0 = time.perf_counter()
@@ -185,26 +257,37 @@ def run_acquisition(source, k: int, fs: float, consumer,
         handoff: queue.Queue = queue.Queue()
 
         def worker():
-            for handle in iter(handoff.get, None):
-                timed_consume(handle)
+            try:
+                for handle in iter(handoff.get, None):
+                    timed_consume(handle)
+            except Exception as err:  # re-raised by the producer's thread
+                crashed.append(err)
 
         thread = threading.Thread(target=worker, daemon=True)
         thread.start()
         deliver = handoff.put
     else:
         deliver = timed_consume
-    period = 1.0 / fs
-    next_deadline = time.perf_counter()
+    lag_max = 0.0 if realtime else None
+    pushed = 0
+    reuse_at = start  # a handed-over bank is the consumer's for B_fd unless released
     try:
-        for code in source:
-            handle = buf.push_sample(code)
-            if handle is not None:
-                deliver(handle)
-            if realtime:  # inline: a pacing generator around source costs more CPU
-                next_deadline += period
-                delay = next_deadline - time.perf_counter()
+        for block in _blocks(source, buf):
+            pushed += block.size
+            if realtime:
+                due = start + (pushed - 1) / fs
+                delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
+                if block.size == buf.free:  # this push switches banks
+                    buf.wait_incoming(reuse_at - time.perf_counter())
+                lag_max = max(lag_max, time.perf_counter() - due)
+            handle = buf.push_block(block)
+            if handle is not None:
+                deliver(handle)
+                reuse_at = time.perf_counter() + b_fd
+            if crashed:
+                break
         handle = buf.flush()
         if handle is not None:
             deliver(handle)
@@ -212,6 +295,8 @@ def run_acquisition(source, k: int, fs: float, consumer,
         if realtime:
             handoff.put(None)
             thread.join()
+    if crashed:
+        raise crashed[0]
 
     mean_it_pb = sum(durations) / len(durations) if durations else None
     return TimingReport(
@@ -223,4 +308,5 @@ def run_acquisition(source, k: int, fs: float, consumer,
         lossless=buf.overrun_count == 0,
         overrun_count=buf.overrun_count,
         banks_delivered=len(durations),
+        producer_lag_max=lag_max,
     )

@@ -169,7 +169,7 @@ def _cmd_monitor(args) -> int:
     def stream(event):
         print(pipeline.event_to_json(event, cfg, excfg))
 
-    _, report = pipeline.run_monitor(iter(codes), fault_model, rul_model, cfg,
+    _, report = pipeline.run_monitor(codes, fault_model, rul_model, cfg,
                                      on_event=stream)
     print(pipeline.report_to_json(report, cfg))
     return 0

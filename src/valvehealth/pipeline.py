@@ -10,12 +10,17 @@ Actuations that straddle a bank boundary are handled by carrying the last
 (lower_window + frame) samples of each bank into the next bank's analysis
 window; edges are de-duplicated by their global sample index.
 
+The producer hands the buffer one block of at most a bank's free space at
+a time; pass the code array itself (not an iterator over it) so blocks are
+slices of it.
+
 Clocks: with ``virtual`` the producer is unpaced, the consumer runs inline
 and all emitted timestamps/latencies are deterministic (sample-derived microseconds
 and processing-step counts). Wall-clock latencies are still measured and
 reported on the returned TimingReport, so performance assertions work in
-either mode. With ``realtime`` pushes are paced on the wall clock and the
-emitted times are measured microseconds.
+either mode. With ``realtime`` the producer sleeps once per block, until
+the block's last sample is due on the wall clock, the consumer runs on its
+own thread, and the emitted times are measured microseconds.
 """
 
 from __future__ import annotations
@@ -196,6 +201,7 @@ def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
                                else round(report.inference_time_per_cycle * 1e6))
         payload["it_pb_us"] = (None if report.inference_time_per_buffer is None
                                else round(report.inference_time_per_buffer * 1e6))
+        payload["producer_lag_max_us"] = round(report.producer_lag_max * 1e6)
     return json.dumps(payload)
 
 

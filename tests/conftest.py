@@ -6,6 +6,17 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))  # for the reference oracle module
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves without hypothesis
+    pass
+else:
+    # Deterministic examples, no wall-clock deadline and no example database,
+    # so a property test neither flakes on a slow runner nor writes files.
+    settings.register_profile("deterministic", derandomize=True, deadline=None,
+                              max_examples=40, database=None)
+    settings.load_profile("deterministic")
+
 from valvehealth import models
 from valvehealth.tinynn import Loss, TrainConfig
 from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,

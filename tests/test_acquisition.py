@@ -1,4 +1,5 @@
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -122,6 +123,103 @@ class TestPingPongBuffer:
             PingPongBuffer(0)
 
 
+class TestPushBlock:
+    def test_block_that_exactly_fills(self):
+        buf = PingPongBuffer(4)
+        handle = buf.push_block(np.array([10, 11, 12, 13]))
+        assert list(handle.data) == [10, 11, 12, 13]
+        assert handle.seq == 0
+        assert buf.free == 4  # the other bank is now active and empty
+
+    def test_partial_block_then_filling_block(self):
+        buf = PingPongBuffer(4)
+        assert buf.push_block([1, 2]) is None
+        assert buf.free == 2
+        handle = buf.push_block([3, 4])
+        assert list(handle.data) == [1, 2, 3, 4]
+
+    def test_empty_block_is_noop(self):
+        buf = PingPongBuffer(4)
+        assert buf.push_block(np.empty(0, dtype=np.int32)) is None
+        assert buf.free == 4
+
+    def test_overrun_counted_when_incoming_bank_held(self):
+        buf = PingPongBuffer(2)
+        held = buf.push_block([0, 1])
+        assert buf.overrun_count == 0
+        assert buf.push_block([2, 3]) is not None  # switches into held bank 0
+        assert buf.overrun_count == 1
+        buf.push_block([4, 5])  # switches into bank 1, also still held
+        assert buf.overrun_count == 2
+        assert list(held.data) == [4, 5]  # newest data wins, counted
+
+    def test_handles_are_read_only(self):
+        buf = PingPongBuffer(2)
+        handle = buf.push_block([5, 6])
+        with pytest.raises(ValueError):
+            handle.data[0] = 99
+
+    def test_block_larger_than_free_space_rejected(self):
+        buf = PingPongBuffer(4)
+        buf.push_block([1])
+        with pytest.raises(ParameterError):
+            buf.push_block(np.arange(4))
+        assert buf.free == 3  # nothing was written
+        assert list(buf.push_block([2, 3, 4]).data) == [1, 2, 3, 4]
+
+    def test_same_banks_as_push_sample(self):
+        src = quantized_sine(7.0, 1000.0, 23)
+        by_sample, by_block = PingPongBuffer(5), PingPongBuffer(5)
+        got_sample = [h for h in map(by_sample.push_sample, src) if h is not None]
+        got_block = []
+        pos = 0
+        while pos < src.size:
+            block = src[pos:pos + by_block.free]
+            pos += block.size
+            handle = by_block.push_block(block)
+            if handle is not None:
+                got_block.append(handle)
+        assert [(h.seq, h.bank_index) for h in got_sample] == \
+            [(h.seq, h.bank_index) for h in got_block]
+        assert by_sample.overrun_count == by_block.overrun_count == 3
+        assert np.array_equal(by_sample.flush().data, by_block.flush().data)
+
+
+class TestCodeRange:
+    """A code that does not fit the int32 bank raises; it is never wrapped."""
+
+    WIDE = 2 ** 32 + 100  # wraps to 100, a valid-looking code, in int32
+
+    @pytest.mark.parametrize("code", [WIDE, np.int64(WIDE), -2 ** 31 - 1])
+    def test_push_sample_rejects(self, code):
+        with pytest.raises(OverflowError):
+            PingPongBuffer(4).push_sample(code)
+
+    def test_push_block_rejects_before_writing(self):
+        buf = PingPongBuffer(4)
+        with pytest.raises(OverflowError):
+            buf.push_block(np.array([1, self.WIDE], dtype=np.int64))
+        assert buf.free == 4
+
+    def test_wide_dtype_in_range_accepted(self):
+        buf = PingPongBuffer(2)
+        handle = buf.push_block(np.array([0, 2 ** 31 - 1], dtype=np.int64))
+        assert list(handle.data) == [0, 2 ** 31 - 1]
+
+    @pytest.mark.parametrize("clock", ["virtual", "realtime"])
+    @pytest.mark.parametrize("kind", ["ndarray", "iterator", "python ints"])
+    def test_source_with_wide_code_raises(self, clock, kind):
+        src = np.arange(10, dtype=np.int64)
+        src[6] = self.WIDE
+        source = {"ndarray": src, "iterator": iter(src),
+                  "python ints": (int(c) for c in src)}[kind]
+        banks = []
+        with pytest.raises(OverflowError):
+            run_acquisition(source, 4, 100_000.0, lambda h: banks.append(list(h.data)),
+                            clock=clock)
+        assert banks == [[0, 1, 2, 3]]  # the bank before the bad code only
+
+
 class TestRunAcquisition:
     def test_lossless_reconstruction_multiple_rates(self):
         fs, k = 1000.0, 500
@@ -188,6 +286,100 @@ class TestRunAcquisition:
     def test_bad_clock_rejected(self):
         with pytest.raises(ParameterError):
             run_acquisition(iter([]), 10, 1000.0, lambda h: None, clock="warp")
+
+    def test_producer_lag_measured_only_under_realtime(self):
+        for clock in ("virtual", "realtime"):
+            buf = PingPongBuffer(100)
+            report = run_acquisition(np.arange(500), 100, 50_000.0, buf.release,
+                                     clock=clock, buf=buf)
+            assert report.banks_delivered == 5
+            if clock == "virtual":
+                assert report.producer_lag_max is None
+            else:
+                assert 0.0 <= report.producer_lag_max < 1.0
+
+    def test_late_producer_leaves_consumer_its_window(self):
+        # the source stalls for three bank periods, so the next banks are
+        # overdue and pushed back to back; each handed-over bank must still
+        # stay the consumer's for B_fd (20 ms) unless it is released first
+        fs, k = 10_000.0, 200
+
+        def source():
+            for i in range(1200):
+                if i == 400:
+                    time.sleep(0.06)
+                yield i % 4096
+
+        buf = PingPongBuffer(k)
+
+        def consumer(handle):
+            time.sleep(0.002)  # releases well inside B_fd
+            buf.release(handle)
+
+        report = run_acquisition(source(), k, fs, consumer, clock="realtime", buf=buf)
+        assert report.banks_delivered == 6
+        assert report.lossless
+        assert report.producer_lag_max >= 0.03  # the stall shows as producer lag
+
+    def test_realtime_hoarding_consumer_counts_overruns(self):
+        # the wait for a release is bounded: a consumer that never releases
+        # still costs one counted overrun per reuse, as under the virtual clock
+        buf = PingPongBuffer(100)
+        held = []
+        report = run_acquisition(np.arange(600), 100, 50_000.0, held.append,
+                                 clock="realtime", buf=buf)
+        assert report.banks_delivered == 6
+        assert report.overrun_count == 5
+
+    @pytest.mark.parametrize("k", [1, 7, 150, 151, 1000])
+    def test_block_sources_deliver_identical_banks(self, k):
+        src = quantized_sine(3.0, 1000.0, 2345)
+
+        def banks(source):
+            out = []
+            buf = PingPongBuffer(k)
+
+            def consumer(handle):
+                out.append(np.array(handle.data, copy=True))
+                buf.release(handle)
+
+            run_acquisition(source, k, 1000.0, consumer, buf=buf)
+            return out
+
+        ref = banks(src)
+        assert np.array_equal(np.concatenate(ref), src)
+        assert [b.size for b in ref[:-1]] == [k] * (len(ref) - 1)
+        for other in (banks(iter(src)), banks(int(c) for c in src)):
+            assert len(other) == len(ref)
+            assert all(np.array_equal(a, b) for a, b in zip(ref, other))
+
+
+class TestConsumerFailure:
+    @pytest.mark.parametrize("clock", ["virtual", "realtime"])
+    def test_consumer_error_reaches_caller(self, clock):
+        k, n = 100, 4000  # 40 banks; 4 ms each under the realtime clock
+        read = []
+
+        def source():
+            for i in range(n):
+                read.append(i)
+                yield i % 4096
+
+        boom = RuntimeError("consumer failed on the second bank")
+        buf = PingPongBuffer(k)
+        seen = []
+
+        def consumer(handle):
+            seen.append(handle.seq)
+            buf.release(handle)
+            if handle.seq == 1:
+                raise boom
+
+        with pytest.raises(RuntimeError) as info:
+            run_acquisition(source(), k, 25_000.0, consumer, clock=clock, buf=buf)
+        assert info.value is boom
+        assert seen == [0, 1]
+        assert len(read) < n  # the producer stopped pulling from the source
 
 
 class TestConcurrency:

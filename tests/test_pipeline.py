@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,6 +65,29 @@ class TestEventCompleteness:
                                      forced_regressor(5000.0), cfg)
         assert events == []
         assert report.lossless
+
+    @pytest.mark.parametrize("k", [1, 7, 150, 151, 1000])
+    def test_block_and_sample_sources_identical_events(self, k, trained_fault, trained_rul):
+        conditions = [FaultCondition.good(), FaultCondition.spool_stuck(),
+                      FaultCondition.spring_failure(), FaultCondition.under_voltage(12.0)]
+        schedule = [(fault, DegradationState(cycle=40 * i, failure_cycle=200))
+                    for i, fault in enumerate(conditions)]
+        codes, triggers = scenario_source(schedule, f_op=2.0, fs=1000.0, seed=12)
+        cfg = MonitorConfig(k=k, fs=1000.0, f_op=2.0)
+
+        def run(source):
+            events, report = run_monitor(source, trained_fault[0], trained_rul[0], cfg)
+            assert report.lossless
+            return monitor_events(events)
+
+        ref = run(codes)
+        assert len(ref) == len(triggers)
+        for source in (iter(codes), (int(c) for c in codes)):
+            got = run(source)
+            assert [e.zero_index for e in got] == [e.zero_index for e in ref]
+            for a, b in zip(got, ref):
+                assert np.array_equal(a.fault_probs, b.fault_probs)
+                assert a.rul == b.rul
 
 
 class TestAlarmPredicate:
@@ -182,6 +206,19 @@ class TestJsonEmission:
                              alarm=False, it_pc=0.002, timestamp_us=123)
         payload = json.loads(event_to_json(event, cfg))
         assert payload["it_pc_us"] == 2000
+
+    def test_realtime_report_has_producer_lag(self):
+        cfg = MonitorConfig(k=500, fs=20_000.0, f_op=1.0, clock="realtime")
+        _, report = run_monitor(np.zeros(2000, dtype=np.int32), forced_classifier([9, 0, 0, 0]),
+                                forced_regressor(5000.0), cfg)
+        payload = json.loads(report_to_json(report, cfg))
+        assert payload["banks_delivered"] == 4
+        assert payload["producer_lag_max_us"] == round(report.producer_lag_max * 1e6) >= 0
+        virtual = replace(cfg, clock="virtual")
+        _, report = run_monitor(np.zeros(2000, dtype=np.int32), forced_classifier([9, 0, 0, 0]),
+                                forced_regressor(5000.0), virtual)
+        assert report.producer_lag_max is None
+        assert "producer_lag_max_us" not in json.loads(report_to_json(report, virtual))
 
     def test_diagnostic_json(self):
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
