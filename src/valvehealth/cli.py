@@ -97,9 +97,10 @@ def _cmd_train(args) -> int:
     history_path = args.history or str(args.out) + ".history.csv"
     with open(history_path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(["epoch", "train_loss", "val_loss"])
-        for epoch, (tr, va) in enumerate(zip(history.train_loss, history.val_loss), start=1):
-            w.writerow([epoch, repr(tr), repr(va)])
+        w.writerow(["epoch", "train_loss", "val_loss", "epoch_s"])
+        rows = zip(history.train_loss, history.val_loss, history.epoch_s)
+        for epoch, (tr, va, secs) in enumerate(rows, start=1):
+            w.writerow([epoch, repr(tr), repr(va), repr(secs)])
 
     if report.accuracy is not None:
         print(f"test accuracy: {report.accuracy:.4f}")

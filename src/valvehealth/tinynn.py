@@ -6,9 +6,11 @@ cross-entropy and mean-absolute-error losses, and the RMSProp optimizer.
 Gradients are exact reverse-mode derivatives of the mean batch loss.
 
 Numerics: parameters live in float64 arrays but are kept on the float32 grid
-(snapped after initialization and after every optimizer step). The wire
-format stores float32, so save -> restore reproduces a model bit-exactly
-while gradient checks still run at float64 resolution.
+(snapped after initialization and after every optimizer step). During
+training every weight and bias is a view into one flat float64 buffer, so
+each step is one RMSProp update and one float32 snap of the whole buffer.
+The wire format stores float32, so save -> restore reproduces a model
+bit-exactly while gradient checks still run at float64 resolution.
 
 Model file layout (little-endian): magic ``PMNN``, version u16, kind u8
 (0 classifier / 1 regressor), layer count u8; per layer in_dim u32,
@@ -20,6 +22,7 @@ with per-feature scaler mean f64 and std f64; trailing CRC32.
 from __future__ import annotations
 
 import struct
+import time
 import zlib
 from dataclasses import dataclass, field
 from enum import Enum
@@ -188,15 +191,24 @@ def _activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
     return _softmax_raw(z)
 
 
-def _forward(model: Mlp, x: np.ndarray):
-    """Returns per-layer pre-activations and activations (index 0: scaled input)."""
-    h = (x - model.scaler_mean) / model.scaler_std
+def _scale(model: Mlp, x: np.ndarray) -> np.ndarray:
+    return (x - model.scaler_mean) / model.scaler_std
+
+
+def _layers(model: Mlp, h: np.ndarray):
+    """Per-layer pre-activations and activations of already-scaled rows ``h``
+    (activation index 0 is ``h`` itself)."""
     zs, activations = [], [h]
     for spec, w, b in zip(model.layers, model.weights, model.biases):
         z = activations[-1] @ w.T + b
         zs.append(z)
         activations.append(_activate(spec, z))
     return zs, activations
+
+
+def _forward(model: Mlp, x: np.ndarray):
+    """Returns per-layer pre-activations and activations (index 0: scaled input)."""
+    return _layers(model, _scale(model, x))
 
 
 def infer(model: Mlp, x) -> np.ndarray:
@@ -213,15 +225,19 @@ def infer(model: Mlp, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss_and_grads(model: Mlp, x: np.ndarray, y: np.ndarray, loss: Loss):
-    n = x.shape[0]
-    zs, activations = _forward(model, x)
+def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray, loss: Loss):
+    """Loss and per-layer gradients on scaled rows ``h``; the caller has
+    checked that ``y`` is ``(len(h), out_dim)``. The loss expressions are
+    ``cce_loss``/``mae_loss`` inlined, in the same operation order."""
+    n = h.shape[0]
+    zs, activations = _layers(model, h)
     y_hat = activations[-1]
     if loss is Loss.CATEGORICAL_CROSS_ENTROPY:
-        value = cce_loss(y, y_hat)
-        d_act = -(y / np.clip(y_hat, 1e-12, None)) / n
+        clipped = np.clip(y_hat, 1e-12, None)
+        value = float((-(y * np.log(clipped)).sum(axis=-1)).mean())
+        d_act = -(y / clipped) / n
     else:
-        value = mae_loss(y, y_hat)
+        value = float(np.abs(y - y_hat).mean())
         d_act = np.sign(y_hat - y) / y.size
 
     grads = []
@@ -236,7 +252,8 @@ def _loss_and_grads(model: Mlp, x: np.ndarray, y: np.ndarray, loss: Loss):
         else:  # softmax Jacobian
             dz = a * (d_act - (d_act * a).sum(axis=1, keepdims=True))
         grads.append((dz.T @ activations[i], dz.sum(axis=0)))
-        d_act = dz @ model.weights[i]
+        if i:
+            d_act = dz @ model.weights[i]
     grads.reverse()
     return value, grads
 
@@ -259,7 +276,7 @@ def gradients(model: Mlp, batch, loss: Loss) -> list[tuple[np.ndarray, np.ndarra
         raise ParameterError("batch must be non-empty")
     if x.shape[1] != model.in_dim or y.shape != (x.shape[0], model.out_dim):
         raise ShapeError(f"batch shapes {x.shape}/{y.shape} do not match the model")
-    _, grads = _loss_and_grads(model, x, y, loss)
+    _, grads = _loss_and_grads(model, _scale(model, x), y, loss)
     return grads
 
 
@@ -288,6 +305,7 @@ class TrainConfig:
 class TrainHistory:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
+    epoch_s: list[float] = field(default_factory=list)  # wall seconds per epoch
 
 
 def rmsprop_step(params, grads, state, cfg: TrainConfig):
@@ -305,7 +323,10 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
 
     The input scaler is (re)fit on the training features before the first
     epoch. Epoch training loss is the mean of the per-batch losses seen
-    during the epoch; validation loss is evaluated after each epoch.
+    during the epoch; validation loss is evaluated after each epoch. Both
+    sets must be ``(n, in_dim)`` features with ``(n, out_dim)`` targets.
+    On return ``model.weights`` and ``model.biases`` are views into one
+    float64 buffer.
     """
     x_tr = np.asarray(train_set[0], dtype=np.float64)
     y_tr = np.asarray(train_set[1], dtype=np.float64)
@@ -313,8 +334,12 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     y_va = np.asarray(val_set[1], dtype=np.float64)
     if x_tr.shape[0] == 0 or x_va.shape[0] == 0:
         raise ParameterError("train and validation sets must be non-empty")
-    if x_tr.ndim != 2 or x_tr.shape[1] != model.in_dim:
-        raise ShapeError(f"training features must be (n, {model.in_dim})")
+    for name, x, y in (("training", x_tr, y_tr), ("validation", x_va, y_va)):
+        if x.ndim != 2 or x.shape[1] != model.in_dim:
+            raise ShapeError(f"{name} features must be (n, {model.in_dim}), got {x.shape}")
+        if y.shape != (x.shape[0], model.out_dim):
+            raise ShapeError(f"{name} targets must be ({x.shape[0]}, {model.out_dim}), "
+                             f"got {y.shape}")
 
     mean = x_tr.mean(axis=0)
     std = x_tr.std(axis=0)
@@ -322,35 +347,41 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
         raise ParameterError("a training feature is constant; cannot standardize")
     model.scaler_mean = mean
     model.scaler_std = std
+    h_tr = _scale(model, x_tr)
 
-    params = [arr for pair in zip(model.weights, model.biases) for arr in pair]
-    state = [np.zeros_like(p) for p in params]
+    arrays = [arr for pair in zip(model.weights, model.biases) for arr in pair]
+    flat = np.concatenate([arr.ravel() for arr in arrays])
+    bounds = np.cumsum([0] + [arr.size for arr in arrays])
+    views = [flat[lo:hi].reshape(arr.shape)
+             for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)]
+    model.weights[:] = views[0::2]
+    model.biases[:] = views[1::2]
+    grad = np.empty_like(flat)
+    state = np.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     n = x_tr.shape[0]
     history = TrainHistory()
 
     for epoch in range(1, cfg.epochs + 1):
+        started = time.perf_counter()
         order = rng.permutation(n)
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            value, grads = _loss_and_grads(model, x_tr[idx], y_tr[idx], cfg.loss)
+            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx], cfg.loss)
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch)
             batch_losses.append(value)
-            flat_grads = [arr for pair in grads for arr in pair]
-            params, state = rmsprop_step(params, flat_grads, state, cfg)
-            for i in range(len(model.layers)):
-                model.weights[i] = _f32(params[2 * i])
-                model.biases[i] = _f32(params[2 * i + 1])
-                params[2 * i] = model.weights[i]
-                params[2 * i + 1] = model.biases[i]
+            np.concatenate([arr.ravel() for pair in grads for arr in pair], out=grad)
+            (stepped,), (state,) = rmsprop_step([flat], [grad], [state], cfg)
+            flat[:] = stepped.astype(np.float32)
         epoch_train = float(np.mean(batch_losses))
         epoch_val = batch_loss(model, x_va, y_va, cfg.loss)
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
             raise TrainingDivergedError(epoch)
         history.train_loss.append(epoch_train)
         history.val_loss.append(epoch_val)
+        history.epoch_s.append(time.perf_counter() - started)
     return history
 
 

@@ -6,13 +6,22 @@ converted one scalar at a time, window means are recomputed from scratch
 with plain Python accumulation, scans have no vectorization or early exits
 beyond what the contract itself states. The production code must agree with
 these bit-for-bit on codes and indices and to 1e-9 on reals.
+
+``reference_train`` is the training loop written one array at a time: each
+weight and bias gets its own RMSProp update and float32 snap, and every
+forward pass standardizes its batch. ``tinynn.train`` runs the same
+elementwise arithmetic on one flat buffer, so it must agree bit-for-bit.
 """
 
 import math
 
+import numpy as np
+
+from valvehealth import tinynn
 from valvehealth.errors import (DegenerateTransientError, NoActuationError,
-                                ParameterError)
+                                ParameterError, TrainingDivergedError)
 from valvehealth.features import ExtractionConfig
+from valvehealth.tinynn import Activation, Loss
 from valvehealth.waveform import AdcConfig
 
 
@@ -106,3 +115,77 @@ def naive_extract_all(samples, cfg: ExtractionConfig):
         except (NoActuationError, DegenerateTransientError) as err:
             out.append((z, "error", type(err).__name__))
     return out
+
+
+def reference_forward(model, x):
+    """Scale the batch, then run every layer; index 0 is the scaled input."""
+    h = (x - model.scaler_mean) / model.scaler_std
+    zs, activations = [], [h]
+    for spec, w, b in zip(model.layers, model.weights, model.biases):
+        z = activations[-1] @ w.T + b
+        zs.append(z)
+        activations.append(tinynn._activate(spec, z))
+    return zs, activations
+
+
+def reference_loss_and_grads(model, x, y, loss):
+    n = x.shape[0]
+    zs, activations = reference_forward(model, x)
+    y_hat = activations[-1]
+    if loss is Loss.CATEGORICAL_CROSS_ENTROPY:
+        value = tinynn.cce_loss(y, y_hat)
+        d_act = -(y / np.clip(y_hat, 1e-12, None)) / n
+    else:
+        value = tinynn.mae_loss(y, y_hat)
+        d_act = np.sign(y_hat - y) / y.size
+
+    grads = []
+    for i in range(len(model.layers) - 1, -1, -1):
+        spec, z, a = model.layers[i], zs[i], activations[i + 1]
+        if spec.activation is Activation.LINEAR:
+            dz = d_act
+        elif spec.activation is Activation.RELU:
+            dz = d_act * (z > 0)
+        elif spec.activation is Activation.LEAKY_RELU:
+            dz = d_act * np.where(z >= 0, 1.0, spec.alpha)
+        else:  # softmax Jacobian
+            dz = a * (d_act - (d_act * a).sum(axis=1, keepdims=True))
+        grads.append((dz.T @ activations[i], dz.sum(axis=0)))
+        d_act = dz @ model.weights[i]
+    grads.reverse()
+    return value, grads
+
+
+def reference_train(model, train_set, val_set, cfg):
+    """Fit ``model`` in place; returns ``(train_loss, val_loss)`` lists."""
+    x_tr = np.asarray(train_set[0], dtype=np.float64)
+    y_tr = np.asarray(train_set[1], dtype=np.float64)
+    x_va = np.asarray(val_set[0], dtype=np.float64)
+    y_va = np.asarray(val_set[1], dtype=np.float64)
+    model.scaler_mean = x_tr.mean(axis=0)
+    model.scaler_std = x_tr.std(axis=0)
+
+    params = [arr for pair in zip(model.weights, model.biases) for arr in pair]
+    state = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    n = x_tr.shape[0]
+    train_loss, val_loss = [], []
+    for epoch in range(1, cfg.epochs + 1):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            value, grads = reference_loss_and_grads(model, x_tr[idx], y_tr[idx], cfg.loss)
+            if not np.isfinite(value):
+                raise TrainingDivergedError(epoch)
+            batch_losses.append(value)
+            flat_grads = [arr for pair in grads for arr in pair]
+            params, state = tinynn.rmsprop_step(params, flat_grads, state, cfg)
+            for i in range(len(model.layers)):
+                model.weights[i] = tinynn._f32(params[2 * i])
+                model.biases[i] = tinynn._f32(params[2 * i + 1])
+                params[2 * i] = model.weights[i]
+                params[2 * i + 1] = model.biases[i]
+        train_loss.append(float(np.mean(batch_losses)))
+        val_loss.append(tinynn.batch_loss(model, x_va, y_va, cfg.loss))
+    return train_loss, val_loss

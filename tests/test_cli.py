@@ -138,8 +138,10 @@ class TestTrainEvalInfer:
         assert "test accuracy" in out
         assert model.exists()
         history = (tmp_path / "m.pmnn.history.csv").read_text().splitlines()
-        assert history[0] == "epoch,train_loss,val_loss"
+        assert history[0] == "epoch,train_loss,val_loss,epoch_s"
         assert len(history) == 21
+        epoch_s = [float(row.split(",")[3]) for row in history[1:]]
+        assert all(secs > 0 for secs in epoch_s)
 
         code, out, _ = run_cli(capsys, "eval", "--model", str(model),
                                "--data", str(data))

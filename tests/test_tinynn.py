@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from reference import reference_loss_and_grads, reference_train
+from valvehealth import models
 from valvehealth.errors import (ModelFormatError, ParameterError, ShapeError,
                                 TrainingDivergedError)
 from valvehealth.tinynn import (Activation, LayerSpec, Loss, Mlp,
@@ -309,12 +311,88 @@ class TestTrain:
         with pytest.raises(ParameterError):
             train(m, (x, y), (x, y), TrainConfig(epochs=1))
 
+    def test_epoch_wall_time_recorded(self):
+        m = small_net(seed=1)
+        x, y = random_batch(m, Loss.CATEGORICAL_CROSS_ENTROPY, seed=3, size=20)
+        history = train(m, (x, y), (x, y), TrainConfig(epochs=4, batch_size=5))
+        assert len(history.epoch_s) == 4
+        assert all(isinstance(t, float) and t > 0 for t in history.epoch_s)
+
+    @pytest.mark.parametrize("case", ["short_train_targets", "wide_train_targets",
+                                      "short_val_targets", "val_feature_width"])
+    def test_mismatched_sets_rejected_before_training(self, case):
+        m = small_net(seed=0)
+        x, y = random_batch(m, Loss.CATEGORICAL_CROSS_ENTROPY, seed=1, size=50)
+        xv, yv = x[:10], y[:10]
+        if case == "short_train_targets":
+            y = y[:47]
+        elif case == "wide_train_targets":
+            y = np.hstack([y, y])
+        elif case == "short_val_targets":
+            yv = yv[:9]
+        else:
+            xv = np.hstack([xv, xv])
+        before = [w.copy() for w in m.weights]
+        with pytest.raises(ShapeError):
+            train(m, (x, y), (xv, yv), TrainConfig(epochs=3, batch_size=5))
+        assert all(np.array_equal(a, b) for a, b in zip(before, m.weights))
+
     def test_parameters_stay_on_f32_grid(self):
         m = small_net(seed=3)
         x, y = random_batch(m, Loss.CATEGORICAL_CROSS_ENTROPY, seed=5, size=20)
         train(m, (x, y), (x, y), TrainConfig(epochs=3, batch_size=5))
         for w in m.weights + m.biases:
             assert np.array_equal(w, w.astype(np.float32).astype(np.float64))
+
+
+ORACLE_CASES = {
+    # name: (model builder, loss, rows, batch_size, train calls)
+    "cce": (small_net, Loss.CATEGORICAL_CROSS_ENTROPY, 30, 10, 1),
+    "mae": (small_net, Loss.MEAN_ABSOLUTE_ERROR, 30, 10, 1),
+    "ragged_last_batch": (small_net, Loss.CATEGORICAL_CROSS_ENTROPY, 23, 10, 1),
+    "batch_size_1": (small_net, Loss.MEAN_ABSOLUTE_ERROR, 12, 1, 1),
+    "batch_larger_than_n": (small_net, Loss.CATEGORICAL_CROSS_ENTROPY, 7, 10, 1),
+    "trained_twice": (small_net, Loss.CATEGORICAL_CROSS_ENTROPY, 23, 5, 2),
+    "fault_model": (lambda seed, loss: models.build_fault_model(seed),
+                    Loss.CATEGORICAL_CROSS_ENTROPY, 40, 10, 1),
+    "rul_model": (lambda seed, loss: models.build_rul_model(seed),
+                  Loss.MEAN_ABSOLUTE_ERROR, 40, 10, 1),
+}
+
+
+class TestTrainMatchesReference:
+    """The flat-buffer training loop against the per-array oracle."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_bit_identical(self, name):
+        build, loss, rows, batch_size, calls = ORACLE_CASES[name]
+        fast, slow = build(seed=4, loss=loss), build(seed=4, loss=loss)
+        for call in range(calls):
+            train_set = random_batch(fast, loss, seed=10 + call, size=rows)
+            val_set = random_batch(fast, loss, seed=20 + call, size=9)
+            cfg = TrainConfig(epochs=3, batch_size=batch_size, seed=call, loss=loss)
+            history = train(fast, train_set, val_set, cfg)
+            train_loss, val_loss = reference_train(slow, train_set, val_set, cfg)
+            assert history.train_loss == train_loss
+            assert history.val_loss == val_loss
+        for a, b in zip(fast.weights + fast.biases, slow.weights + slow.biases):
+            assert np.array_equal(a, b)
+        assert np.array_equal(fast.scaler_mean, slow.scaler_mean)
+        assert np.array_equal(fast.scaler_std, slow.scaler_std)
+
+    @pytest.mark.parametrize("name", ["cce", "mae", "fault_model", "rul_model"])
+    def test_gradients_bit_identical(self, name):
+        # the float32 snap hides last-bit gradient differences from the
+        # trained weights, so the gradients are compared on their own
+        build, loss, rows, _, _ = ORACLE_CASES[name]
+        m = build(seed=5, loss=loss)
+        m.scaler_mean = np.array([0.3, -1.0])
+        m.scaler_std = np.array([1.7, 0.6])
+        x, y = random_batch(m, loss, seed=6, size=rows)
+        grads = gradients(m, (x, y), loss)
+        _, expected = reference_loss_and_grads(m, x, y, loss)
+        for (dw, db), (ew, eb) in zip(grads, expected):
+            assert np.array_equal(dw, ew) and np.array_equal(db, eb)
 
 
 class TestSerialization:
