@@ -10,7 +10,7 @@ prints actual vs predicted remaining life along the way.
 import numpy as np
 
 from valvehealth import gen_rul_dataset, train_rul
-from valvehealth.tinynn import Loss, TrainConfig, infer
+from valvehealth.tinynn import TrainConfig, infer
 
 
 def main():
@@ -18,8 +18,7 @@ def main():
     dataset = gen_rul_dataset(n_valves=4, seed=0)
 
     print("training: epochs=50, batch=10, RMSProp, MAE loss")
-    model, history, report = train_rul(
-        dataset, TrainConfig(seed=0, loss=Loss.MEAN_ABSOLUTE_ERROR))
+    model, history, report = train_rul(dataset, TrainConfig(seed=0))
     print(f"loss: {history.train_loss[0]:.4f} -> {history.train_loss[-1]:.4f} "
           "(scaled units)")
     print(f"test MAE: {report.mae_cycles:.1f} cycles "

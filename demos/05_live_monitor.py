@@ -20,7 +20,7 @@ Equivalent CLI session:
 from valvehealth import (DegradationState, FaultCondition, MonitorConfig,
                          MonitorEvent, gen_fault_dataset, gen_rul_dataset,
                          run_monitor, scenario_source, train_fault, train_rul)
-from valvehealth.tinynn import Loss, TrainConfig
+from valvehealth.tinynn import TrainConfig
 
 FAILURE_CYCLE = 200
 N_CYCLES = 40
@@ -30,9 +30,8 @@ def main():
     print("training the two models on synthetic data...")
     fault_model, _, fault_report = train_fault(gen_fault_dataset(seed=0),
                                                TrainConfig(seed=0))
-    rul_model, _, rul_report = train_rul(
-        gen_rul_dataset(n_valves=4, seed=0),
-        TrainConfig(seed=0, loss=Loss.MEAN_ABSOLUTE_ERROR))
+    rul_model, _, rul_report = train_rul(gen_rul_dataset(n_valves=4, seed=0),
+                                         TrainConfig(seed=0))
     print(f"  fault accuracy {fault_report.accuracy:.3f}, "
           f"RUL MAE {rul_report.mae_cycles:.1f} cycles\n")
 

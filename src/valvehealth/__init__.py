@@ -21,6 +21,6 @@ from .tinynn import (Activation, LayerSpec, Loss, Mlp, ModelKind, TrainConfig,
                      TrainHistory, infer, restore, save, train)
 from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
                        TransientTrace, ValveParams, current_to_voltage,
-                       degrade, sensor_gain, synth_transient)
+                       sensor_gain, synth_transient)
 
 __version__ = "0.1.0"

@@ -54,13 +54,12 @@ def max_cycles(k: int, f_op: float, fs: float) -> float:
 class BankHandle:
     """Read-only view of a filled bank, valid until released."""
 
-    __slots__ = ("bank_index", "seq", "data", "released")
+    __slots__ = ("bank_index", "seq", "data")
 
     def __init__(self, bank_index: int, seq: int, data: np.ndarray):
         self.bank_index = bank_index
         self.seq = seq
         self.data = data
-        self.released = False
 
     def __len__(self):
         return self.data.size
@@ -106,7 +105,8 @@ class PingPongBuffer:
         """Copy a block of at most ``free`` codes into the active bank;
         returns a handle when the block fills it.
 
-        A code that does not fit the bank's dtype raises OverflowError
+        A block that is not of an integer dtype raises ParameterError and a
+        code that does not fit the bank's dtype raises OverflowError, both
         before anything is written. The switch into the other bank counts
         an overrun if the consumer still holds it (its outstanding handle
         then observes overwrites).
@@ -117,6 +117,8 @@ class PingPongBuffer:
         if end > self.k:
             raise ParameterError(f"block of {block.size} exceeds the bank's "
                                  f"free space of {self.free}")
+        if block.size and block.dtype.kind not in "iu":
+            raise ParameterError(f"codes must be integers, got dtype {block.dtype}")
         if block.size and not np.can_cast(block.dtype, self.dtype):
             lo, hi = block.min(), block.max()
             if not (self._range.min <= lo and hi <= self._range.max):
@@ -138,7 +140,7 @@ class PingPongBuffer:
 
     def push_sample(self, code: int) -> BankHandle | None:
         """Store one sample; ``push_block`` of a one-code block."""
-        return self.push_block(np.fromiter((code,), self.dtype, 1))
+        return self.push_block(np.array([code]))
 
     def flush(self) -> BankHandle | None:
         """Deliver the partially filled active bank (end of stream)."""
@@ -157,7 +159,6 @@ class PingPongBuffer:
             if self._held[handle.bank_index] is handle:
                 self._held[handle.bank_index] = None
                 self._released.notify()
-            handle.released = True
 
     def wait_incoming(self, timeout: float) -> None:
         """Wait up to ``timeout`` seconds for the consumer to release the
@@ -189,19 +190,12 @@ class TimingReport:
     banks_delivered: int
     producer_lag_max: float | None
 
-    @property
-    def it_pb_under_fill(self) -> bool | None:
-        """Whether the measured per-buffer time beats the fill duration."""
-        if self.inference_time_per_buffer is None:
-            return None
-        return self.inference_time_per_buffer < self.buffer_fill_duration
-
 
 def _blocks(source, buf: PingPongBuffer):
     """``source`` in blocks of at most ``buf.free`` codes, each sized as it
-    is drawn. An ndarray is sliced; any other iterable goes through
-    ``np.fromiter`` in the bank's dtype, which rejects a value that does not
-    fit as a store would."""
+    is drawn. An ndarray is sliced; any other iterable is collected into an
+    array of the dtype NumPy infers, so ``push_block`` checks both kinds of
+    source alike."""
     if isinstance(source, np.ndarray):
         pos = 0
         while pos < source.size:
@@ -210,7 +204,7 @@ def _blocks(source, buf: PingPongBuffer):
             yield block
     else:
         it = iter(source)
-        while (block := np.fromiter(itertools.islice(it, buf.free), buf.dtype)).size:
+        while (block := np.array(list(itertools.islice(it, buf.free)))).size:
             yield block
 
 

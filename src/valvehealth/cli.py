@@ -22,11 +22,10 @@ from .errors import (CsvFormatError, ModelFormatError, ParameterError,
 from .features import ExtractionConfig, extract_all, write_features_csv
 from .models import FAULT_CLASSES
 from .pipeline import MonitorConfig
-from .tinynn import Loss, ModelKind, TrainConfig
-from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
-                       TransientTrace, ValveParams, codes_to_current,
-                       current_to_codes, read_trace_csv, synth_transient,
-                       write_trace_csv)
+from .tinynn import ModelKind, TrainConfig
+from .waveform import (DegradationState, FaultCondition, FaultKind, TransientTrace,
+                       ValveParams, codes_to_current, current_to_codes,
+                       read_trace_csv, synth_transient, write_trace_csv)
 
 _FAULT_CHOICES = [k.value for k in FAULT_CLASSES]
 _SCENARIO_CHOICES = _FAULT_CHOICES + ["degradation"]
@@ -47,7 +46,7 @@ def _cmd_simulate(args) -> int:
     deg = DegradationState(cycle=round(args.severity * 1_000_000), failure_cycle=1_000_000)
     if args.cycles == 1:
         trace = synth_transient(params, fault, deg, noise_std=args.noise, seed=args.seed,
-                                adc=AdcConfig(sample_rate=args.fs))
+                                fs=args.fs)
     else:
         codes, _ = pipeline.scenario_source(
             [(fault, deg)] * args.cycles, f_op=args.fop, fs=args.fs, params=params,
@@ -60,7 +59,10 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_extract(args) -> int:
     trace = read_trace_csv(args.infile)
-    results = extract_all(trace)
+    skipped = []
+    results = extract_all(trace, diagnostics=skipped)
+    for z, err in skipped:
+        print(f"skipped edge at zero_index {z}: {type(err).__name__}", file=sys.stderr)
     write_features_csv(results, args.out, full=args.full)
     print(f"extracted {len(results)} actuation(s) to {args.out}")
     return 0
@@ -87,9 +89,8 @@ def _cmd_train(args) -> int:
         print(f"error: --task {args.task} but {args.data} holds a {ds.kind} dataset",
               file=sys.stderr)
         return 2
-    loss = Loss.CATEGORICAL_CROSS_ENTROPY if args.task == "fault" else Loss.MEAN_ABSOLUTE_ERROR
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch,
-                      learning_rate=args.learning_rate, seed=args.seed, loss=loss)
+                      learning_rate=args.learning_rate, seed=args.seed)
     trainer = models.train_fault if args.task == "fault" else models.train_rul
     model, history, report = trainer(ds, cfg)
     tinynn.save(model, args.out)

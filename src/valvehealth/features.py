@@ -23,12 +23,12 @@ All window lengths are sample counts at 1 kHz (1 sample = 1 ms); use
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CsvFormatError, DegenerateTransientError, ExtractionError,
-                     NoActuationError, ParameterError)
+from .errors import (DegenerateTransientError, ExtractionError, NoActuationError,
+                     ParameterError)
 from .waveform import TransientTrace
 
 
@@ -57,7 +57,7 @@ class ExtractionConfig:
             raise ParameterError("ms_per_sample must be > 0")
 
     @classmethod
-    def for_sample_rate(cls, sample_rate: float, **overrides) -> "ExtractionConfig":
+    def for_sample_rate(cls, sample_rate: float) -> "ExtractionConfig":
         """Scale the 1 kHz sample-count defaults to another rate."""
         if sample_rate <= 0:
             raise ParameterError("sample_rate must be > 0")
@@ -65,11 +65,10 @@ class ExtractionConfig:
         def scaled(n):
             return max(round(n * sample_rate / 1000.0), 1)
 
-        cfg = cls(window=scaled(5), lower_window=scaled(50),
-                  upper_window_start=scaled(30), upper_window_end=scaled(50),
-                  frame=scaled(100), skip_after_event=scaled(30),
-                  ms_per_sample=1000.0 / sample_rate)
-        return replace(cfg, **overrides) if overrides else cfg
+        return cls(window=scaled(5), lower_window=scaled(50),
+                   upper_window_start=scaled(30), upper_window_end=scaled(50),
+                   frame=scaled(100), skip_after_event=scaled(30),
+                   ms_per_sample=1000.0 / sample_rate)
 
 
 @dataclass(frozen=True)
@@ -160,15 +159,15 @@ def extract_features(samples, zero_index: int,
                              tl=tl, tu=tu, di_dt=di_dt, auc=auc)
 
 
-def extract_all(trace: TransientTrace, cfg: ExtractionConfig | None = None,
+def extract_all(trace: TransientTrace,
                 diagnostics: list | None = None) -> list[tuple[int, TransientFeatures]]:
-    """Detect every edge in a trace and extract its features.
+    """Detect every edge in a trace and extract its features, with the
+    windows scaled to the trace's sample rate.
 
     Per-edge failures never abort the sweep; pass a ``diagnostics`` list to
     collect ``(zero_index, error)`` pairs for the edges that were skipped.
     """
-    if cfg is None:
-        cfg = ExtractionConfig.for_sample_rate(trace.sample_rate)
+    cfg = ExtractionConfig.for_sample_rate(trace.sample_rate)
     out = []
     for z in detect_rising_edges(trace.samples, cfg):
         try:
@@ -197,21 +196,3 @@ def write_features_csv(results: list[tuple[int, TransientFeatures]], path,
             for z, ft in results:
                 w.writerow([z, repr(ft.di_dt), repr(ft.auc)])
 
-
-def read_features_csv(path) -> list[dict]:
-    """Read rows written by :func:`write_features_csv` (either column set)."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None or "di_dt" not in header or "auc" not in header:
-            raise CsvFormatError("missing di_dt/auc columns", line=1)
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(f"expected {len(header)} columns", line=line_no)
-            try:
-                rows.append({k: (int(v) if k == "zero_index" else float(v))
-                             for k, v in zip(header, row)})
-            except ValueError:
-                raise CsvFormatError(f"non-numeric value {row!r}", line=line_no) from None
-    return rows

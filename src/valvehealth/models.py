@@ -18,8 +18,7 @@ import numpy as np
 from . import tinynn
 from .errors import CsvFormatError, ExtractionError, ParameterError
 from .features import extract_all
-from .tinynn import (Activation, LayerSpec, Loss, Mlp, ModelKind,
-                     TrainConfig, new_mlp)
+from .tinynn import Activation, LayerSpec, Mlp, ModelKind, TrainConfig, new_mlp
 from .waveform import (DegradationState, FaultCondition, FaultKind, ValveParams,
                        synth_transient)
 
@@ -31,6 +30,8 @@ FAULT_CLASSES: tuple[FaultKind, ...] = (FaultKind.GOOD, FaultKind.SPOOL_STUCK,
 UNDER_VOLTAGE_RANGE = (8.0, 14.0)
 
 DEFAULT_FAULT_COUNTS = (600, 200, 200, 400)
+
+_SYNTH_RETRIES = 10  # seeds tried per actuation before synthesis gives up
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -96,24 +97,17 @@ def build_rul_model(seed: int = 0) -> Mlp:
     return new_mlp(specs, seed=seed, kind=ModelKind.REGRESSOR)
 
 
-def split_dataset(ds: Dataset, fractions=(0.7, 0.2, 0.1), seed: int = 0):
-    """Deterministic (train, val, test) split; stratified by class for
-    classification so the small test split keeps every class."""
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ParameterError("fractions must be three values summing to 1")
-    if min(fractions) < 0:
-        raise ParameterError("fractions must be >= 0")
+def split_dataset(ds: Dataset, seed: int = 0):
+    """Deterministic 70/20/10 (train, val, test) split; stratified by class
+    for classification so the small test split keeps every class."""
     rng = np.random.default_rng(seed)
     n = len(ds)
     parts: list[list[int]] = [[], [], []]
 
     def allocate(indices: np.ndarray):
         m = indices.size
-        n_tr = round(fractions[0] * m)
-        n_va = round(fractions[1] * m)
-        if n_tr + n_va > m:
-            n_va = m - n_tr
+        n_tr = round(0.7 * m)
+        n_va = round(0.2 * m)  # n_tr + n_va <= m for every m
         shuffled = indices[rng.permutation(m)]
         parts[0].extend(shuffled[:n_tr].tolist())
         parts[1].extend(shuffled[n_tr:n_tr + n_va].tolist())
@@ -126,7 +120,7 @@ def split_dataset(ds: Dataset, fractions=(0.7, 0.2, 0.1), seed: int = 0):
         allocate(np.arange(n))
 
     if any(len(p) == 0 for p in parts):
-        raise ParameterError(f"split {fractions} leaves an empty part for n={n}")
+        raise ParameterError(f"the 70/20/10 split leaves an empty part for n={n}")
     return tuple(ds.subset(np.sort(np.asarray(p))) for p in parts)
 
 
@@ -140,21 +134,21 @@ def _jittered(rng: np.random.Generator, base: ValveParams, spread: float) -> Val
 
 
 def _synth_features(params: ValveParams, fault: FaultCondition, deg: DegradationState,
-                    noise_std: float, seed: int, retries: int = 10):
+                    noise_std: float, seed: int):
     """One actuation's (di_dt, auc); resamples with the next seed on failure."""
     last_err: ExtractionError | None = None
-    for attempt in range(retries):
+    for attempt in range(_SYNTH_RETRIES):
         trace = synth_transient(params, fault, deg, noise_std=noise_std, seed=seed + attempt)
         results = extract_all(trace)
         if results:
             ft = results[0][1]
             return ft.di_dt, ft.auc, seed + attempt
         last_err = ExtractionError(f"no usable edge with seed {seed + attempt}")
-    raise ExtractionError(f"extraction failed for {retries} consecutive seeds") from last_err
+    raise ExtractionError(f"extraction failed for {_SYNTH_RETRIES} consecutive seeds") from last_err
 
 
 def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
-                      noise_std: float = 1.0, params: ValveParams | None = None) -> Dataset:
+                      noise_std: float = 1.0) -> Dataset:
     """Synthesize a labeled fault dataset with the requested per-class counts.
 
     Each row is an independent actuation of a jittered valve (+-10% on the
@@ -166,7 +160,7 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
         raise ParameterError("counts must be four non-negative values")
     if sum(counts) == 0:
         raise ParameterError("at least one class count must be positive")
-    base = params or ValveParams()
+    base = ValveParams()
     rng = np.random.default_rng(seed)
     fresh = DegradationState(cycle=0, failure_cycle=1)
 
@@ -187,8 +181,7 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
 
 
 def gen_rul_dataset(n_valves: int = 4, seed: int = 0, failure_cycle: int = 1500,
-                    cycle_step: int = 5, noise_std: float = 0.5,
-                    params: ValveParams | None = None) -> Dataset:
+                    cycle_step: int = 5, noise_std: float = 0.5) -> Dataset:
     """Run-to-failure trajectories: one row per ``cycle_step`` operations.
 
     Targets are the remaining cycles (failure_cycle - cycle), so they fall
@@ -200,7 +193,7 @@ def gen_rul_dataset(n_valves: int = 4, seed: int = 0, failure_cycle: int = 1500,
         raise ParameterError("n_valves must be >= 1")
     if failure_cycle < 1 or cycle_step < 1 or cycle_step > failure_cycle:
         raise ParameterError("need failure_cycle >= cycle_step >= 1")
-    base = params or ValveParams()
+    base = ValveParams()
     rng = np.random.default_rng(seed)
 
     xs, ys, prov = [], [], []
@@ -242,8 +235,8 @@ def train_fault(ds: Dataset, cfg: TrainConfig | None = None):
     """Split 70/20/10, train the classifier, report on the test split."""
     if ds.kind != "fault":
         raise ParameterError("train_fault needs a fault-labeled dataset")
-    cfg = cfg or TrainConfig(loss=Loss.CATEGORICAL_CROSS_ENTROPY)
-    train_split, val_split, test_split = split_dataset(ds, (0.7, 0.2, 0.1), seed=cfg.seed)
+    cfg = cfg or TrainConfig()
+    train_split, val_split, test_split = split_dataset(ds, seed=cfg.seed)
     model = build_fault_model(seed=cfg.seed)
     history = tinynn.train(model, (train_split.x, one_hot(train_split.y)),
                            (val_split.x, one_hot(val_split.y)), cfg)
@@ -259,10 +252,8 @@ def train_rul(ds: Dataset, cfg: TrainConfig | None = None):
     """
     if ds.kind != "rul":
         raise ParameterError("train_rul needs a remaining-life dataset")
-    cfg = cfg or TrainConfig(loss=Loss.MEAN_ABSOLUTE_ERROR)
-    if cfg.loss is not Loss.MEAN_ABSOLUTE_ERROR:
-        cfg = replace(cfg, loss=Loss.MEAN_ABSOLUTE_ERROR)
-    train_split, val_split, test_split = split_dataset(ds, (0.7, 0.2, 0.1), seed=cfg.seed)
+    cfg = cfg or TrainConfig()
+    train_split, val_split, test_split = split_dataset(ds, seed=cfg.seed)
     scale = float(ds.y.max())
     model = build_rul_model(seed=cfg.seed)
     history = tinynn.train(model,

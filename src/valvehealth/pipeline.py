@@ -207,7 +207,7 @@ def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
 
 def scenario_source(schedule, f_op: float = 0.5, fs: float = 1000.0,
                     params: ValveParams | None = None, noise_std: float = 1.0,
-                    seed: int = 0, adc: AdcConfig = AdcConfig()):
+                    seed: int = 0):
     """Raw-code stream with one actuation per ``(FaultCondition,
     DegradationState)`` pair in ``schedule``.
 
@@ -231,4 +231,4 @@ def scenario_source(schedule, f_op: float = 0.5, fs: float = 1000.0,
         stream[start:start + on] = transient_current(params, fault, deg, t_ms)
     if noise_std > 0:
         stream = stream + np.random.default_rng(seed).normal(0.0, noise_std, stream.size)
-    return current_to_codes(stream, adc), triggers
+    return current_to_codes(stream), triggers

@@ -5,6 +5,11 @@ Supported pieces are LeakyReLU/ReLU/softmax/linear activations, categorical
 cross-entropy and mean-absolute-error losses, and the RMSProp optimizer.
 Gradients are exact reverse-mode derivatives of the mean batch loss.
 
+The model kind picks the training loss: a classifier is fit on categorical
+cross-entropy, a regressor on mean absolute error. RMSProp uses the Keras
+defaults rho = 0.9 and epsilon = 1e-7 as fixed constants; the learning rate
+is the only optimizer setting.
+
 Numerics: parameters live in float64 arrays but are kept on the float32 grid
 (snapped after initialization and after every optimizer step). During
 training every weight and bias is a view into one flat float64 buffer, so
@@ -33,6 +38,9 @@ from .errors import ModelFormatError, ParameterError, ShapeError, TrainingDiverg
 
 _MAGIC = b"PMNN"
 _VERSION = 1
+
+RMSPROP_RHO = 0.9
+RMSPROP_EPSILON = 1e-7
 
 
 class Activation(Enum):
@@ -135,25 +143,11 @@ def parameter_counts(model: Mlp) -> list[int]:
     return [w.size + b.size for w, b in zip(model.weights, model.biases)]
 
 
-def leaky_relu(x, alpha: float = 0.01):
-    """x for x >= 0, alpha * x below."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.where(x >= 0, x, alpha * x)
-    return float(out) if out.ndim == 0 else out
-
-
-def _softmax_raw(v: np.ndarray) -> np.ndarray:
+def _softmax(v: np.ndarray) -> np.ndarray:
+    """Shift-invariant softmax over the last axis."""
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
-
-
-def softmax(v) -> np.ndarray:
-    """Shift-invariant softmax over the last axis."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.size == 0 or not np.all(np.isfinite(v)):
-        raise ParameterError("softmax input must be non-empty and finite")
-    return _softmax_raw(v)
 
 
 def cce_loss(y_true, y_pred) -> float:
@@ -188,7 +182,7 @@ def _activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if spec.activation is Activation.LEAKY_RELU:
         return np.where(z >= 0, z, spec.alpha * z)
-    return _softmax_raw(z)
+    return _softmax(z)
 
 
 def _scale(model: Mlp, x: np.ndarray) -> np.ndarray:
@@ -206,11 +200,6 @@ def _layers(model: Mlp, h: np.ndarray):
     return zs, activations
 
 
-def _forward(model: Mlp, x: np.ndarray):
-    """Returns per-layer pre-activations and activations (index 0: scaled input)."""
-    return _layers(model, _scale(model, x))
-
-
 def infer(model: Mlp, x) -> np.ndarray:
     """Run the network on one feature vector or a (n, in_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
@@ -220,7 +209,7 @@ def infer(model: Mlp, x) -> np.ndarray:
     batch = x[None, :] if single else x
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ShapeError(f"expected {model.in_dim} input features, got shape {x.shape}")
-    _, activations = _forward(model, batch)
+    _, activations = _layers(model, _scale(model, batch))
     out = activations[-1]
     return out[0] if single else out
 
@@ -285,20 +274,15 @@ class TrainConfig:
     epochs: int = 50
     batch_size: int = 10
     learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-7
     seed: int = 0
-    loss: Loss = Loss.CATEGORICAL_CROSS_ENTROPY
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ParameterError("batch_size must be >= 1")
-        if not 0 < self.rho < 1:
-            raise ParameterError("rho must be in (0, 1)")
-        if self.learning_rate <= 0 or self.epsilon <= 0:
-            raise ParameterError("learning_rate and epsilon must be > 0")
+        if self.learning_rate <= 0:
+            raise ParameterError("learning_rate must be > 0")
 
 
 @dataclass
@@ -308,25 +292,23 @@ class TrainHistory:
     epoch_s: list[float] = field(default_factory=list)  # wall seconds per epoch
 
 
-def rmsprop_step(params, grads, state, cfg: TrainConfig):
-    """One RMSProp update: v <- rho v + (1 - rho) g^2, p <- p - lr g / (sqrt(v) + eps)."""
-    new_params, new_state = [], []
-    for p, g, v in zip(params, grads, state):
-        v_next = cfg.rho * v + (1.0 - cfg.rho) * g * g
-        new_state.append(v_next)
-        new_params.append(p - cfg.learning_rate * g / (np.sqrt(v_next) + cfg.epsilon))
-    return new_params, new_state
+def rmsprop_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, learning_rate: float):
+    """One RMSProp update: v <- rho v + (1 - rho) g^2, p <- p - lr g / (sqrt(v) + eps).
+    Returns the new ``(p, v)``."""
+    v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
+    return p - learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON), v
 
 
 def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     """Fit the model in place; deterministic for a given config seed.
 
     The input scaler is (re)fit on the training features before the first
-    epoch. Epoch training loss is the mean of the per-batch losses seen
-    during the epoch; validation loss is evaluated after each epoch. Both
-    sets must be ``(n, in_dim)`` features with ``(n, out_dim)`` targets.
-    On return ``model.weights`` and ``model.biases`` are views into one
-    float64 buffer.
+    epoch. A classifier is fit on categorical cross-entropy, a regressor on
+    mean absolute error. Epoch training loss is the mean of the per-batch
+    losses seen during the epoch; validation loss is evaluated after each
+    epoch. Both sets must be ``(n, in_dim)`` features with ``(n, out_dim)``
+    targets. On return ``model.weights`` and ``model.biases`` are views into
+    one float64 buffer.
     """
     x_tr = np.asarray(train_set[0], dtype=np.float64)
     y_tr = np.asarray(train_set[1], dtype=np.float64)
@@ -348,6 +330,8 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     model.scaler_mean = mean
     model.scaler_std = std
     h_tr = _scale(model, x_tr)
+    loss = (Loss.CATEGORICAL_CROSS_ENTROPY if model.kind is ModelKind.CLASSIFIER
+            else Loss.MEAN_ABSOLUTE_ERROR)
 
     arrays = [arr for pair in zip(model.weights, model.biases) for arr in pair]
     flat = np.concatenate([arr.ravel() for arr in arrays])
@@ -368,15 +352,15 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx], cfg.loss)
+            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx], loss)
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch)
             batch_losses.append(value)
             np.concatenate([arr.ravel() for pair in grads for arr in pair], out=grad)
-            (stepped,), (state,) = rmsprop_step([flat], [grad], [state], cfg)
+            stepped, state = rmsprop_step(flat, grad, state, cfg.learning_rate)
             flat[:] = stepped.astype(np.float32)
         epoch_train = float(np.mean(batch_losses))
-        epoch_val = batch_loss(model, x_va, y_va, cfg.loss)
+        epoch_val = batch_loss(model, x_va, y_va, loss)
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
             raise TrainingDivergedError(epoch)
         history.train_loss.append(epoch_train)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -148,13 +148,6 @@ class DegradationState:
         return min(self.cycle / self.failure_cycle, 1.0)
 
 
-def degrade(deg: DegradationState, cycles: int) -> DegradationState:
-    """Advance a degradation state by ``cycles`` operations."""
-    if cycles < 0:
-        raise ParameterError("cycles must be >= 0")
-    return replace(deg, cycle=deg.cycle + cycles)
-
-
 @dataclass(frozen=True)
 class AdcConfig:
     """Shunt-amplifier gain plus ADC sizing of the sensing chain."""
@@ -162,13 +155,12 @@ class AdcConfig:
     full_scale: float = 3.3     # volts
     bits: int = 12
     gain: float = 12.22         # dimensionless, from sensor_gain()
-    sample_rate: float = 1000.0  # Hz
 
     def __post_init__(self):
         if not 8 <= self.bits <= 16:
             raise ParameterError(f"bits must be in [8, 16], got {self.bits}")
-        if self.full_scale <= 0 or self.gain <= 0 or self.sample_rate <= 0:
-            raise ParameterError("full_scale, gain and sample_rate must be > 0")
+        if self.full_scale <= 0 or self.gain <= 0:
+            raise ParameterError("full_scale and gain must be > 0")
 
     @property
     def max_code(self) -> int:
@@ -302,12 +294,13 @@ def transient_current(p: ValveParams, fault: FaultCondition, deg: DegradationSta
 def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState,
                     noise_std: float = 0.0, seed: int = 0,
                     pre_ms: float = 60.0, post_ms: float = 105.0,
-                    adc: AdcConfig = AdcConfig()) -> TransientTrace:
+                    fs: float = 1000.0) -> TransientTrace:
     """Synthesize one actuation as seen through the sensing chain.
 
     The trace holds ``pre_ms`` of idle baseline followed by ``post_ms`` of
-    transient. Gaussian noise (``noise_std`` mA) is added to the analog value
-    before quantization; the result is deterministic for a given seed.
+    transient, sampled at ``fs`` Hz. Gaussian noise (``noise_std`` mA) is
+    added to the analog value before quantization through the default
+    ``AdcConfig``; the result is deterministic for a given seed.
 
     ``pre_ms`` must leave room for the 50 ms pre-actuation average and
     ``post_ms`` for the 100 ms region of interest.
@@ -319,15 +312,16 @@ def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState
         raise ParameterError("pre_ms must be >= 60 ms")
     if post_ms < 105.0:
         raise ParameterError("post_ms must be >= 105 ms")
+    if fs <= 0:
+        raise ParameterError("fs must be > 0")
 
-    fs = adc.sample_rate
     n_pre = round(pre_ms * fs / 1000.0)
     n_post = round(post_ms * fs / 1000.0)
     t = (np.arange(n_pre + n_post) - n_pre) * (1000.0 / fs)
     analog = transient_current(p, fault, deg, t)
     if noise_std > 0:
         analog = analog + np.random.default_rng(seed).normal(0.0, noise_std, analog.size)
-    samples = codes_to_current(current_to_codes(analog, adc), adc)
+    samples = codes_to_current(current_to_codes(analog))
     return TransientTrace(samples, fs, trigger_index=n_pre)
 
 

@@ -18,7 +18,7 @@ else:
     settings.load_profile("deterministic")
 
 from valvehealth import models
-from valvehealth.tinynn import Loss, TrainConfig
+from valvehealth.tinynn import TrainConfig
 from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,
                                   synth_transient)
 
@@ -36,14 +36,12 @@ def rul_dataset():
 @pytest.fixture(scope="session")
 def trained_fault(fault_dataset):
     """(model, history, report) trained with the production defaults."""
-    return models.train_fault(fault_dataset, TrainConfig(
-        epochs=50, batch_size=10, seed=0, loss=Loss.CATEGORICAL_CROSS_ENTROPY))
+    return models.train_fault(fault_dataset, TrainConfig(epochs=50, batch_size=10, seed=0))
 
 
 @pytest.fixture(scope="session")
 def trained_rul(rul_dataset):
-    return models.train_rul(rul_dataset, TrainConfig(
-        epochs=50, batch_size=10, seed=0, loss=Loss.MEAN_ABSOLUTE_ERROR))
+    return models.train_rul(rul_dataset, TrainConfig(epochs=50, batch_size=10, seed=0))
 
 
 def constant_schedule(fault: FaultCondition, n_cycles: int):

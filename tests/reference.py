@@ -21,7 +21,7 @@ from valvehealth import tinynn
 from valvehealth.errors import (DegenerateTransientError, NoActuationError,
                                 ParameterError, TrainingDivergedError)
 from valvehealth.features import ExtractionConfig
-from valvehealth.tinynn import Activation, Loss
+from valvehealth.tinynn import Activation, Loss, ModelKind
 from valvehealth.waveform import AdcConfig
 
 
@@ -157,7 +157,10 @@ def reference_loss_and_grads(model, x, y, loss):
 
 
 def reference_train(model, train_set, val_set, cfg):
-    """Fit ``model`` in place; returns ``(train_loss, val_loss)`` lists."""
+    """Fit ``model`` in place on cross-entropy for a classifier and mean
+    absolute error for a regressor; returns ``(train_loss, val_loss)``."""
+    loss = (Loss.CATEGORICAL_CROSS_ENTROPY if model.kind is ModelKind.CLASSIFIER
+            else Loss.MEAN_ABSOLUTE_ERROR)
     x_tr = np.asarray(train_set[0], dtype=np.float64)
     y_tr = np.asarray(train_set[1], dtype=np.float64)
     x_va = np.asarray(val_set[0], dtype=np.float64)
@@ -175,17 +178,19 @@ def reference_train(model, train_set, val_set, cfg):
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            value, grads = reference_loss_and_grads(model, x_tr[idx], y_tr[idx], cfg.loss)
+            value, grads = reference_loss_and_grads(model, x_tr[idx], y_tr[idx], loss)
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch)
             batch_losses.append(value)
             flat_grads = [arr for pair in grads for arr in pair]
-            params, state = tinynn.rmsprop_step(params, flat_grads, state, cfg)
+            for j, g in enumerate(flat_grads):
+                params[j], state[j] = tinynn.rmsprop_step(params[j], g, state[j],
+                                                          cfg.learning_rate)
             for i in range(len(model.layers)):
                 model.weights[i] = tinynn._f32(params[2 * i])
                 model.biases[i] = tinynn._f32(params[2 * i + 1])
                 params[2 * i] = model.weights[i]
                 params[2 * i + 1] = model.biases[i]
         train_loss.append(float(np.mean(batch_losses)))
-        val_loss.append(tinynn.batch_loss(model, x_va, y_va, cfg.loss))
+        val_loss.append(tinynn.batch_loss(model, x_va, y_va, loss))
     return train_loss, val_loss

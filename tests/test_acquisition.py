@@ -220,6 +220,35 @@ class TestCodeRange:
         assert banks == [[0, 1, 2, 3]]  # the bank before the bad code only
 
 
+class TestCodeDtype:
+    """A non-integer code raises; it is never truncated to a valid-looking one."""
+
+    FLOATS = [10.6, 20.2, 30.9, 40.1]  # would truncate to 10, 20, 30, 40
+
+    def test_push_sample_rejects_float(self):
+        buf = PingPongBuffer(4)
+        with pytest.raises(ParameterError):
+            buf.push_sample(10.6)
+        assert buf.free == 4
+
+    def test_push_block_rejects_float_before_writing(self):
+        buf = PingPongBuffer(4)
+        with pytest.raises(ParameterError):
+            buf.push_block(np.array(self.FLOATS[:2]))
+        assert buf.free == 4
+
+    @pytest.mark.parametrize("clock", ["virtual", "realtime"])
+    @pytest.mark.parametrize("kind", ["ndarray", "iterator"])
+    def test_float_source_raises(self, clock, kind):
+        source = np.array(self.FLOATS) if kind == "ndarray" else iter(self.FLOATS)
+        buf = PingPongBuffer(2)
+        banks = []
+        with pytest.raises(ParameterError):
+            run_acquisition(source, 2, 100_000.0, lambda h: banks.append(list(h.data)),
+                            clock=clock, buf=buf)
+        assert banks == [] and buf.free == 2
+
+
 class TestRunAcquisition:
     def test_lossless_reconstruction_multiple_rates(self):
         fs, k = 1000.0, 500
@@ -275,7 +304,8 @@ class TestRunAcquisition:
         report = run_acquisition(iter(range(5000)), 1000, 1000.0, consumer,
                                  buf=buf, f_op=0.5)
         assert report.inference_time_per_buffer is not None
-        assert report.it_pb_under_fill  # microseconds of work vs a 1 s fill
+        # microseconds of work vs a 1 s fill
+        assert report.inference_time_per_buffer < report.buffer_fill_duration
         assert report.max_cycles == 0.5
 
     def test_mismatched_buffer_rejected(self):

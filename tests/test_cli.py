@@ -5,7 +5,9 @@ import pytest
 
 from valvehealth import tinynn
 from valvehealth.cli import main
-from valvehealth.waveform import read_trace_csv
+from valvehealth.waveform import (DegradationState, FaultCondition, TransientTrace,
+                                  ValveParams, read_trace_csv, synth_transient,
+                                  write_trace_csv)
 
 
 def run_cli(capsys, *argv):
@@ -83,9 +85,10 @@ class TestExtract:
         features = tmp_path / "f.csv"
         run_cli(capsys, "simulate", "--fault", "good", "--seed", "2",
                 "--noise", "1.0", "--out", str(trace))
-        code, out, _ = run_cli(capsys, "extract", "--in", str(trace),
-                               "--out", str(features))
+        code, out, err = run_cli(capsys, "extract", "--in", str(trace),
+                                 "--out", str(features))
         assert code == 0
+        assert err == ""
         lines = features.read_text().strip().splitlines()
         assert lines[0] == "zero_index,di_dt,auc"
         assert len(lines) == 2
@@ -103,6 +106,20 @@ class TestExtract:
                              "--out", str(features))
         assert code == 0
         assert len(features.read_text().strip().splitlines()) == 1
+
+    def test_skipped_edge_reported_on_stderr(self, capsys, tmp_path):
+        # an instant step at 100 ms fails extraction, the good actuation after it does not
+        good = synth_transient(ValveParams(), FaultCondition.good(), DegradationState(0, 1))
+        samples = np.concatenate([np.zeros(100), np.full(150, 250.0), good.samples])
+        trace = tmp_path / "step.csv"
+        write_trace_csv(TransientTrace(samples, 1000.0), trace)
+        features = tmp_path / "f.csv"
+        code, out, err = run_cli(capsys, "extract", "--in", str(trace),
+                                 "--out", str(features))
+        assert code == 0
+        assert out == f"extracted 1 actuation(s) to {features}\n"
+        assert err.splitlines() == ["skipped edge at zero_index 96: DegenerateTransientError"]
+        assert len(features.read_text().splitlines()) == 2
 
     def test_truncated_file_reports_line(self, capsys, tmp_path):
         trace = tmp_path / "broken.csv"

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,7 @@ from reference import naive_detect, naive_extract_all
 from valvehealth.errors import (DegenerateTransientError, NoActuationError,
                                 ParameterError)
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
-                                  extract_all, extract_features,
-                                  read_features_csv, write_features_csv)
+                                  extract_all, extract_features, write_features_csv)
 from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,
                                   synth_transient)
 
@@ -220,18 +221,21 @@ class TestFeatureCsv:
         results = extract_all(tr)
         path = tmp_path / "features.csv"
         write_features_csv(results, path)
-        rows = read_features_csv(path)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
         assert len(rows) == 1
-        assert rows[0]["zero_index"] == results[0][0]
-        assert rows[0]["di_dt"] == results[0][1].di_dt
-        assert rows[0]["auc"] == results[0][1].auc
+        assert list(rows[0]) == ["zero_index", "di_dt", "auc"]
+        assert int(rows[0]["zero_index"]) == results[0][0]
+        assert float(rows[0]["di_dt"]) == results[0][1].di_dt
+        assert float(rows[0]["auc"]) == results[0][1].auc
 
     def test_full_columns(self, tmp_path):
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
         results = extract_all(tr)
         path = tmp_path / "features_full.csv"
         write_features_csv(results, path, full=True)
-        rows = read_features_csv(path)
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
         ft = results[0][1]
-        assert rows[0]["tu"] == ft.tu
-        assert rows[0]["ecv90"] == ft.ecv90
+        assert float(rows[0]["tu"]) == ft.tu
+        assert float(rows[0]["ecv90"]) == ft.ecv90

@@ -7,8 +7,8 @@ from valvehealth.models import (Dataset, build_fault_model, build_rul_model,
                                 evaluate, gen_fault_dataset, gen_rul_dataset,
                                 one_hot, read_dataset_csv, split_dataset,
                                 write_dataset_csv)
-from valvehealth.tinynn import (Activation, LayerSpec, Loss, Mlp, ModelKind,
-                                TrainConfig, parameter_counts, serialize)
+from valvehealth.tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
+                                parameter_counts, serialize)
 
 
 class TestArchitectures:
@@ -66,16 +66,16 @@ def toy_fault_dataset(n_per_class=40, seed=0):
 
 class TestSplit:
     def test_sizes_for_1400_rows(self, fault_dataset):
-        tr, va, te = split_dataset(fault_dataset, (0.7, 0.2, 0.1), seed=0)
+        tr, va, te = split_dataset(fault_dataset, seed=0)
         assert (len(tr), len(va), len(te)) == (980, 280, 140)
 
     def test_disjoint_union(self, fault_dataset):
-        tr, va, te = split_dataset(fault_dataset, (0.7, 0.2, 0.1), seed=1)
+        tr, va, te = split_dataset(fault_dataset, seed=1)
         seen = sorted(tr.provenance + va.provenance + te.provenance)
         assert seen == sorted(fault_dataset.provenance)
 
     def test_stratified_within_one_row(self, fault_dataset):
-        tr, va, te = split_dataset(fault_dataset, (0.7, 0.2, 0.1), seed=2)
+        tr, va, te = split_dataset(fault_dataset, seed=2)
         total = np.bincount(fault_dataset.y, minlength=4)
         for part, frac in ((tr, 0.7), (va, 0.2), (te, 0.1)):
             got = np.bincount(part.y, minlength=4)
@@ -90,10 +90,13 @@ class TestSplit:
         assert not np.array_equal(a[0].x, c[0].x)
 
     def test_degenerate_fractions_rejected(self, fault_dataset):
+        # one row per class: 70/20/10 puts every row in the training part
         with pytest.raises(ParameterError):
-            split_dataset(fault_dataset, (1.0, 0.0, 0.0))
+            split_dataset(fault_dataset.subset(np.array([0, 600, 800, 1000])))
+        rul = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([9.0, 8.0]), "rul",
+                      ["a", "b"])
         with pytest.raises(ParameterError):
-            split_dataset(fault_dataset, (0.5, 0.2, 0.1))
+            split_dataset(rul)
 
 
 class TestGenerators:
@@ -185,8 +188,7 @@ class TestTraining:
         assert history.train_loss[-1] < history.train_loss[0]
 
     def test_fault_training_deterministic(self, fault_dataset, trained_fault):
-        cfg = TrainConfig(epochs=50, batch_size=10, seed=0,
-                          loss=Loss.CATEGORICAL_CROSS_ENTROPY)
+        cfg = TrainConfig(epochs=50, batch_size=10, seed=0)
         again_model, again_history, again_report = models.train_fault(fault_dataset, cfg)
         model, history, report = trained_fault
         assert serialize(again_model) == serialize(model)

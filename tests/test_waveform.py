@@ -9,9 +9,8 @@ from valvehealth.features import extract_all
 from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition,
                                   FaultKind, TransientTrace, ValveParams,
                                   codes_to_current, current_to_codes,
-                                  current_to_voltage, degrade,
-                                  effective_transient, read_trace_csv,
-                                  sensor_gain, synth_transient,
+                                  current_to_voltage, effective_transient,
+                                  read_trace_csv, sensor_gain, synth_transient,
                                   transient_current, write_trace_csv)
 
 GOOD = FaultCondition.good()
@@ -135,13 +134,13 @@ class TestDegradation:
         assert DegradationState(750, 1500).severity == 0.5
 
     def test_degrade_advances_and_saturates(self):
-        d = degrade(DegradationState(0, 1500), 750)
+        d = DegradationState(750, 1500)
         assert d.cycle == 750 and d.severity == 0.5
-        assert degrade(d, 10_000).severity == 1.0
+        assert DegradationState(d.cycle + 10_000, 1500).severity == 1.0
 
     def test_negative_cycles_rejected(self):
         with pytest.raises(ParameterError):
-            degrade(DegradationState(0, 1500), -1)
+            DegradationState(-1, 1500)
 
 
 class TestSynthTransient:
