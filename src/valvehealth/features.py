@@ -18,6 +18,13 @@ window is still at idle level, the window start becomes the edge's
 Only (di_dt, auc) feed the downstream models; the rest are diagnostics.
 All window lengths are sample counts at 1 kHz (1 sample = 1 ms); use
 ``ExtractionConfig.for_sample_rate`` for other rates.
+
+Extraction is batched: ``extract_batch`` gathers the frames of any number
+of edges into one window matrix and computes every feature row by row,
+with a per-row error code where a single edge would raise. A row's values
+are the same bits whichever other rows share its call. ``extract_all``
+calls it once per trace, the monitor once per bank and dataset synthesis
+once per dataset; ``extract_features`` is its one-row form.
 """
 
 from __future__ import annotations
@@ -113,73 +120,137 @@ def detect_rising_edges(samples, cfg: ExtractionConfig = ExtractionConfig()) -> 
     return edges
 
 
+_FULL_COLUMNS = ["zero_index", "ecv_lower_avg", "ecv_upper_avg", "delta_ecv",
+                 "ecv10", "ecv90", "tl", "tu", "di_dt", "auc"]
+
+
+# Row outcome codes of ``extract_batch``: 0 is a clean edge, the others name
+# the error that ``extract_features`` raises for the row.
+OK, NO_RISE, NO_CROSSING, DEGENERATE = range(4)
+
+
+@dataclass(frozen=True)
+class FeatureBatch:
+    """``TransientFeatures`` as columns, one row per requested edge.
+
+    ``error`` holds each row's outcome code. A failed row keeps the values
+    it got before the failure; its ``tl``, ``tu`` and ``di_dt`` are NaN.
+    """
+
+    zero_index: np.ndarray
+    ecv_lower_avg: np.ndarray
+    ecv_upper_avg: np.ndarray
+    delta_ecv: np.ndarray
+    ecv10: np.ndarray
+    ecv90: np.ndarray
+    tl: np.ndarray
+    tu: np.ndarray
+    di_dt: np.ndarray
+    auc: np.ndarray
+    error: np.ndarray
+
+    def row(self, i: int) -> TransientFeatures:
+        """Row ``i`` as Python numbers."""
+        return TransientFeatures(int(self.zero_index[i]),
+                                 *(float(getattr(self, c)[i]) for c in _FULL_COLUMNS[1:]))
+
+    def error_at(self, i: int) -> ExtractionError | None:
+        """The exception row ``i`` stands for, or None for a clean row."""
+        code, z = self.error[i], int(self.zero_index[i])
+        if code == NO_RISE:
+            return NoActuationError(
+                f"no rise at index {z}: delta_ecv = {self.delta_ecv[i]:.3f} mA")
+        if code == NO_CROSSING:  # unreachable when delta > 0; kept as a guard
+            return NoActuationError(f"no 10% crossing within the frame at index {z}")
+        if code == DEGENERATE:
+            return DegenerateTransientError(f"instantaneous rise at index {z}")
+        return None
+
+
+def extract_batch(samples, zero_indices, cfg: ExtractionConfig) -> FeatureBatch:
+    """Compute the transient feature set for every edge in ``zero_indices``.
+
+    The ``lower_window + frame`` samples around each edge are gathered into
+    one window matrix and every feature is computed row by row, so a row's
+    values do not depend on the other rows. A row fails with NO_RISE when
+    the upper window does not exceed the lower average, and with DEGENERATE
+    when the rise is instantaneous.
+    """
+    x = np.asarray(samples, dtype=np.float64)
+    z = np.asarray(zero_indices, dtype=np.int64)
+    lw, m = cfg.lower_window, cfg.upper_window_start
+    if z.size and z.min() < lw:
+        raise ParameterError(f"zero_index needs {lw} samples of history")
+    if z.size and z.max() + cfg.frame > x.size:
+        raise ParameterError(f"zero_index needs {cfg.frame} samples of lookahead")
+
+    windows = x[(z - lw)[:, None] + np.arange(lw + cfg.frame)]
+    lower = windows[:, :lw].sum(axis=1) / lw
+    upper = windows[:, lw + m: lw + cfg.upper_window_end].sum(axis=1) / (
+        cfg.upper_window_end - m)
+    delta = upper - lower
+    ecv10 = 0.1 * delta + lower
+    ecv90 = 0.9 * delta + lower
+
+    roi = windows[:, lw:]
+    above = roi >= ecv10[:, None]
+    below = roi <= ecv90[:, None]
+    j = above.argmax(axis=1)  # first 10% crossing
+    k = cfg.frame - 1 - below[:, ::-1].argmax(axis=1)  # last sample at or below 90%
+    # the scan for k runs back to the crossing only: a k before j means no such sample
+    crosses, settles = above.any(axis=1), below.any(axis=1) & (k >= j)
+
+    error = np.zeros(z.size, dtype=np.int8)
+    tl = j * cfg.ms_per_sample
+    tu = (k + 1) * cfg.ms_per_sample
+    failed = ~((delta > 0) & crosses & settles)
+    if failed.any():
+        error[~settles] = DEGENERATE
+        error[~crosses] = NO_CROSSING
+        error[delta <= 0] = NO_RISE
+        tl[failed] = tu[failed] = np.nan
+    di_dt = (ecv90 - ecv10) / (tu - tl)
+    auc = ((roi[:, 0] + roi[:, m]) / 2.0 + roi[:, 1:m].sum(axis=1)) / m
+
+    return FeatureBatch(zero_index=z, ecv_lower_avg=lower, ecv_upper_avg=upper,
+                        delta_ecv=delta, ecv10=ecv10, ecv90=ecv90,
+                        tl=tl, tu=tu, di_dt=di_dt, auc=auc, error=error)
+
+
 def extract_features(samples, zero_index: int,
                      cfg: ExtractionConfig = ExtractionConfig()) -> TransientFeatures:
-    """Compute the transient feature set for one detected edge.
+    """One-row form of ``extract_batch``.
 
     Raises NoActuationError when the frame never rises above the 10% level
     (equivalently, the upper window does not exceed the lower average) and
     DegenerateTransientError when the rise is instantaneous.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    z = zero_index
-    if z < cfg.lower_window:
-        raise ParameterError(f"zero_index needs {cfg.lower_window} samples of history")
-    if z + cfg.frame > x.size:
-        raise ParameterError(f"zero_index needs {cfg.frame} samples of lookahead")
-
-    lower = float(x[z - cfg.lower_window: z].mean())
-    upper = float(x[z + cfg.upper_window_start: z + cfg.upper_window_end].mean())
-    delta = upper - lower
-    ecv10 = 0.1 * delta + lower
-    ecv90 = 0.9 * delta + lower
-
-    if delta <= 0:
-        raise NoActuationError(f"no rise at index {z}: delta_ecv = {delta:.3f} mA")
-
-    roi = x[z: z + cfg.frame]
-    above = np.flatnonzero(roi >= ecv10)
-    if above.size == 0:  # unreachable when delta > 0; kept as a guard
-        raise NoActuationError(f"no 10% crossing within the frame at index {z}")
-    j = int(above[0])
-    at_or_below = np.flatnonzero(roi[j:] <= ecv90)
-    if at_or_below.size == 0:
-        raise DegenerateTransientError(f"instantaneous rise at index {z}")
-    k = j + int(at_or_below[-1])
-
-    tl = j * cfg.ms_per_sample
-    tu = (k + 1) * cfg.ms_per_sample
-    di_dt = (ecv90 - ecv10) / (tu - tl)
-
-    m = cfg.upper_window_start
-    auc = float(((x[z] + x[z + m]) / 2.0 + x[z + 1: z + m].sum()) / m)
-
-    return TransientFeatures(zero_index=z, ecv_lower_avg=lower, ecv_upper_avg=upper,
-                             delta_ecv=delta, ecv10=ecv10, ecv90=ecv90,
-                             tl=tl, tu=tu, di_dt=di_dt, auc=auc)
+    batch = extract_batch(samples, [zero_index], cfg)
+    err = batch.error_at(0)
+    if err is not None:
+        raise err
+    return batch.row(0)
 
 
 def extract_all(trace: TransientTrace,
                 diagnostics: list | None = None) -> list[tuple[int, TransientFeatures]]:
-    """Detect every edge in a trace and extract its features, with the
-    windows scaled to the trace's sample rate.
+    """Detect every edge in a trace and extract all of them in one batch,
+    with the windows scaled to the trace's sample rate.
 
     Per-edge failures never abort the sweep; pass a ``diagnostics`` list to
     collect ``(zero_index, error)`` pairs for the edges that were skipped.
     """
     cfg = ExtractionConfig.for_sample_rate(trace.sample_rate)
+    edges = detect_rising_edges(trace.samples, cfg)
+    batch = extract_batch(trace.samples, edges, cfg)
     out = []
-    for z in detect_rising_edges(trace.samples, cfg):
-        try:
-            out.append((z, extract_features(trace.samples, z, cfg)))
-        except ExtractionError as err:
-            if diagnostics is not None:
-                diagnostics.append((z, err))
+    for i, z in enumerate(edges):
+        err = batch.error_at(i)
+        if err is None:
+            out.append((z, batch.row(i)))
+        elif diagnostics is not None:
+            diagnostics.append((z, err))
     return out
-
-
-_FULL_COLUMNS = ["zero_index", "ecv_lower_avg", "ecv_upper_avg", "delta_ecv",
-                 "ecv10", "ecv90", "tl", "tu", "di_dt", "auc"]
 
 
 def write_features_csv(results: list[tuple[int, TransientFeatures]], path,

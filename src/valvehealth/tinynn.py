@@ -247,26 +247,14 @@ def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray, loss: Loss):
     return value, grads
 
 
-def batch_loss(model: Mlp, x, y, loss: Loss) -> float:
-    """Mean loss of the model on a batch (no gradient)."""
+def batch_loss(model: Mlp, x, y) -> float:
+    """Mean loss of the model on a batch (no gradient): categorical
+    cross-entropy for a classifier, mean absolute error for a regressor."""
     y = np.asarray(y, dtype=np.float64)
     y_hat = infer(model, np.asarray(x, dtype=np.float64))
-    if loss is Loss.CATEGORICAL_CROSS_ENTROPY:
+    if model.kind is ModelKind.CLASSIFIER:
         return cce_loss(y, y_hat)
     return mae_loss(y, y_hat)
-
-
-def gradients(model: Mlp, batch, loss: Loss) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of the mean batch loss, one (dW, db) pair per layer."""
-    x, y = batch
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    if x.shape[0] == 0:
-        raise ParameterError("batch must be non-empty")
-    if x.shape[1] != model.in_dim or y.shape != (x.shape[0], model.out_dim):
-        raise ShapeError(f"batch shapes {x.shape}/{y.shape} do not match the model")
-    _, grads = _loss_and_grads(model, _scale(model, x), y, loss)
-    return grads
 
 
 @dataclass(frozen=True)
@@ -360,7 +348,7 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
             stepped, state = rmsprop_step(flat, grad, state, cfg.learning_rate)
             flat[:] = stepped.astype(np.float32)
         epoch_train = float(np.mean(batch_losses))
-        epoch_val = batch_loss(model, x_va, y_va, loss)
+        epoch_val = batch_loss(model, x_va, y_va)
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
             raise TrainingDivergedError(epoch)
         history.train_loss.append(epoch_train)

@@ -13,6 +13,10 @@ for t >= 0 (actuation at t = 0), idle before. The sensing chain converts
 current to a voltage through a shunt amplifier (gain = Rs * Rl / 1 kOhm) and
 quantizes it with a saturating, truncating ADC, so synthesized traces live on
 the ADC's LSB grid and tests can be bit-exact.
+
+``synth_batch`` synthesizes many actuations as one trace matrix, one row per
+``EffectiveTransient`` and each row with its own seeded noise draw;
+``synth_transient`` is its one-row form.
 """
 
 from __future__ import annotations
@@ -281,26 +285,38 @@ def effective_transient(p: ValveParams, fault: FaultCondition,
     return EffectiveTransient(settling, tau, depth, dip_time, p.dip_width, p.idle_current)
 
 
+def _constants(eff: EffectiveTransient) -> tuple:
+    """``_drive_current``'s parameters for one transient."""
+    return (eff.settling_ma, eff.rise_tau_ms, eff.dip_depth_ma, eff.dip_time_ms,
+            2.0 * eff.dip_width_ms ** 2, eff.idle_ma)
+
+
+def _drive_current(settling, tau, depth, dip_time, two_w2, idle, t) -> np.ndarray:
+    """The closed-form current at times ``t``. Pass ``_constants`` as scalars
+    for one transient, or as ``(n, 1)`` columns for one row per transient."""
+    rise = settling * (1.0 - np.exp(-t / tau))
+    dip = depth * np.exp(-((t - dip_time) ** 2) / two_w2)
+    return np.where(t < 0.0, idle, idle + rise - dip)
+
+
 def transient_current(p: ValveParams, fault: FaultCondition, deg: DegradationState,
                       t_ms) -> np.ndarray:
     """Noise-free analog drive current at time(s) ``t_ms`` (actuation at 0)."""
-    eff = effective_transient(p, fault, deg)
-    t = np.asarray(t_ms, dtype=np.float64)
-    rise = eff.settling_ma * (1.0 - np.exp(-t / eff.rise_tau_ms))
-    dip = eff.dip_depth_ma * np.exp(-((t - eff.dip_time_ms) ** 2) / (2.0 * eff.dip_width_ms ** 2))
-    return np.where(t < 0.0, eff.idle_ma, eff.idle_ma + rise - dip)
+    return _drive_current(*_constants(effective_transient(p, fault, deg)),
+                          np.asarray(t_ms, dtype=np.float64))
 
 
-def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState,
-                    noise_std: float = 0.0, seed: int = 0,
-                    pre_ms: float = 60.0, post_ms: float = 105.0,
-                    fs: float = 1000.0) -> TransientTrace:
-    """Synthesize one actuation as seen through the sensing chain.
+def synth_batch(transients: list[EffectiveTransient], seeds: list[int], noise_std: float,
+                pre_ms: float = 60.0, post_ms: float = 105.0,
+                fs: float = 1000.0) -> np.ndarray:
+    """Synthesize one actuation per transient as seen through the sensing
+    chain, as one ``(len(transients), samples)`` matrix in mA.
 
-    The trace holds ``pre_ms`` of idle baseline followed by ``post_ms`` of
+    Each row holds ``pre_ms`` of idle baseline followed by ``post_ms`` of
     transient, sampled at ``fs`` Hz. Gaussian noise (``noise_std`` mA) is
     added to the analog value before quantization through the default
-    ``AdcConfig``; the result is deterministic for a given seed.
+    ``AdcConfig``; row i draws it from ``default_rng(seeds[i])``, so a row
+    does not depend on the others.
 
     ``pre_ms`` must leave room for the 50 ms pre-actuation average and
     ``post_ms`` for the 100 ms region of interest.
@@ -318,11 +334,23 @@ def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState
     n_pre = round(pre_ms * fs / 1000.0)
     n_post = round(post_ms * fs / 1000.0)
     t = (np.arange(n_pre + n_post) - n_pre) * (1000.0 / fs)
-    analog = transient_current(p, fault, deg, t)
+    columns = np.array([_constants(e) for e in transients]).T[:, :, None]
+    analog = _drive_current(*columns, t)
     if noise_std > 0:
-        analog = analog + np.random.default_rng(seed).normal(0.0, noise_std, analog.size)
-    samples = codes_to_current(current_to_codes(analog))
-    return TransientTrace(samples, fs, trigger_index=n_pre)
+        analog = analog + np.array([np.random.default_rng(seed).normal(0.0, noise_std, t.size)
+                                    for seed in seeds])
+    return codes_to_current(current_to_codes(analog))
+
+
+def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState,
+                    noise_std: float = 0.0, seed: int = 0,
+                    pre_ms: float = 60.0, post_ms: float = 105.0,
+                    fs: float = 1000.0) -> TransientTrace:
+    """One-row form of ``synth_batch``, with the actuation start kept as the
+    trace's ``trigger_index``."""
+    samples = synth_batch([effective_transient(p, fault, deg)], [seed], noise_std,
+                          pre_ms, post_ms, fs)
+    return TransientTrace(samples[0], fs, trigger_index=round(pre_ms * fs / 1000.0))
 
 
 def write_trace_csv(trace: TransientTrace, path) -> None:

@@ -7,6 +7,12 @@ with plain Python accumulation, scans have no vectorization or early exits
 beyond what the contract itself states. The production code must agree with
 these bit-for-bit on codes and indices and to 1e-9 on reals.
 
+``reference_synth_features`` and the two dataset generators below are the
+per-row synthesis loop: one trace synthesized, scanned and extracted at a
+time, resampled with the next seed until an edge extracts cleanly. The
+production generators synthesize and extract a whole dataset at once and
+must give the same rows, targets and provenance.
+
 ``reference_train`` is the training loop written one array at a time: each
 weight and bias gets its own RMSProp update and float32 snap, and every
 forward pass standardizes its batch. ``tinynn.train`` runs the same
@@ -17,12 +23,13 @@ import math
 
 import numpy as np
 
-from valvehealth import tinynn
-from valvehealth.errors import (DegenerateTransientError, NoActuationError,
-                                ParameterError, TrainingDivergedError)
-from valvehealth.features import ExtractionConfig
+from valvehealth import models, tinynn
+from valvehealth.errors import (DegenerateTransientError, ExtractionError,
+                                NoActuationError, ParameterError, TrainingDivergedError)
+from valvehealth.features import ExtractionConfig, extract_all
 from valvehealth.tinynn import Activation, Loss, ModelKind
-from valvehealth.waveform import AdcConfig
+from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
+                                  ValveParams, synth_transient)
 
 
 def adc_quantize(v: float, cfg: AdcConfig = AdcConfig()) -> int:
@@ -117,6 +124,63 @@ def naive_extract_all(samples, cfg: ExtractionConfig):
     return out
 
 
+def reference_synth_features(params, fault, deg, noise_std, seed):
+    """One actuation's (di_dt, auc, used seed); resamples with the next seed
+    on failure."""
+    last_err = None
+    for attempt in range(models._SYNTH_RETRIES):
+        trace = synth_transient(params, fault, deg, noise_std=noise_std, seed=seed + attempt)
+        results = extract_all(trace)
+        if results:
+            ft = results[0][1]
+            return ft.di_dt, ft.auc, seed + attempt
+        last_err = ExtractionError(f"no usable edge with seed {seed + attempt}")
+    raise ExtractionError(
+        f"extraction failed for {models._SYNTH_RETRIES} consecutive seeds") from last_err
+
+
+def reference_fault_dataset(counts, seed, noise_std):
+    """``gen_fault_dataset`` one row at a time: ``(x, y, provenance,
+    resampled row count)``."""
+    rng = np.random.default_rng(seed)
+    fresh = DegradationState(cycle=0, failure_cycle=1)
+    xs, ys, prov, resampled = [], [], [], 0
+    for class_idx, (kind, count) in enumerate(zip(models.FAULT_CLASSES, counts)):
+        for _ in range(count):
+            valve = models._jittered(rng, ValveParams(), 0.10)
+            if kind is FaultKind.UNDER_VOLTAGE:
+                fault = FaultCondition.under_voltage(rng.uniform(*models.UNDER_VOLTAGE_RANGE))
+            else:
+                fault = FaultCondition(kind)
+            sample_seed = int(rng.integers(2 ** 31))
+            di_dt, auc, used = reference_synth_features(valve, fault, fresh, noise_std,
+                                                        sample_seed)
+            xs.append((di_dt, auc))
+            ys.append(class_idx)
+            prov.append(f"synthetic:{kind.value}:seed={used}")
+            resampled += used != sample_seed
+    return np.asarray(xs), np.asarray(ys), prov, resampled
+
+
+def reference_rul_dataset(n_valves, seed, failure_cycle, cycle_step, noise_std):
+    """``gen_rul_dataset`` one row at a time: ``(x, y, provenance, resampled
+    row count)``."""
+    rng = np.random.default_rng(seed)
+    xs, ys, prov, resampled = [], [], [], 0
+    for valve_idx in range(n_valves):
+        valve = models._jittered(rng, ValveParams(), 0.02)
+        for cycle in range(0, failure_cycle, cycle_step):
+            deg = DegradationState(cycle=cycle, failure_cycle=failure_cycle)
+            sample_seed = int(rng.integers(2 ** 31))
+            di_dt, auc, used = reference_synth_features(valve, FaultCondition.good(), deg,
+                                                        noise_std, sample_seed)
+            xs.append((di_dt, auc))
+            ys.append(float(failure_cycle - cycle))
+            prov.append(f"synthetic:valve={valve_idx}:cycle={cycle}:seed={used}")
+            resampled += used != sample_seed
+    return np.asarray(xs), np.asarray(ys), prov, resampled
+
+
 def reference_forward(model, x):
     """Scale the batch, then run every layer; index 0 is the scaled input."""
     h = (x - model.scaler_mean) / model.scaler_std
@@ -192,5 +256,5 @@ def reference_train(model, train_set, val_set, cfg):
                 params[2 * i] = model.weights[i]
                 params[2 * i + 1] = model.biases[i]
         train_loss.append(float(np.mean(batch_losses)))
-        val_loss.append(tinynn.batch_loss(model, x_va, y_va, loss))
+        val_loss.append(tinynn.batch_loss(model, x_va, y_va))
     return train_loss, val_loss

@@ -18,7 +18,7 @@ from valvehealth.errors import (DegenerateTransientError, ModelFormatError,
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
                                   extract_features)
 from valvehealth.pipeline import MonitorConfig, MonitorEvent, run_monitor, scenario_source
-from valvehealth.tinynn import (Activation, LayerSpec, Loss, new_mlp,
+from valvehealth.tinynn import (Activation, LayerSpec, Loss, ModelKind, new_mlp,
                                 parameter_counts, serialize, deserialize)
 from valvehealth.waveform import (FaultCondition, current_to_voltage,
                                   sensor_gain)
@@ -130,10 +130,11 @@ def test_criterion_7_gradient_correctness():
     ]
     for seed in range(50):
         specs = shapes[seed % len(shapes)]
-        loss = (Loss.CATEGORICAL_CROSS_ENTROPY
-                if specs[-1].activation is Activation.SOFTMAX
-                else Loss.MEAN_ABSOLUTE_ERROR)
-        model = new_mlp(specs, seed=seed)
+        if specs[-1].activation is Activation.SOFTMAX:
+            loss, kind = Loss.CATEGORICAL_CROSS_ENTROPY, ModelKind.CLASSIFIER
+        else:
+            loss, kind = Loss.MEAN_ABSOLUTE_ERROR, ModelKind.REGRESSOR
+        model = new_mlp(specs, seed=seed, kind=kind)
         finite_difference_check(model, loss, seed, h=1e-5, tol=1e-4)
     ok(7, "50 random networks match central finite differences within 1e-4 relative")
 

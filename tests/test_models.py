@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+from reference import reference_fault_dataset, reference_rul_dataset, reference_synth_features
 from valvehealth import models, tinynn
-from valvehealth.errors import CsvFormatError, ParameterError
+from valvehealth.errors import CsvFormatError, ExtractionError, ParameterError
 from valvehealth.models import (Dataset, build_fault_model, build_rul_model,
                                 evaluate, gen_fault_dataset, gen_rul_dataset,
                                 one_hot, read_dataset_csv, split_dataset,
                                 write_dataset_csv)
 from valvehealth.tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
                                 parameter_counts, serialize)
+from valvehealth.waveform import DegradationState, FaultCondition, ValveParams
 
 
 class TestArchitectures:
@@ -137,6 +139,50 @@ class TestGenerators:
             gen_rul_dataset(n_valves=0)
         with pytest.raises(ParameterError):
             gen_rul_dataset(n_valves=1, failure_cycle=4, cycle_step=5)
+
+
+class TestDatasetOracle:
+    """The batched generators against the per-row loop in tests/reference.py."""
+
+    @pytest.mark.parametrize("seed, counts, noise, resampled", [
+        (0, (6, 4, 4, 6), 1.0, False),
+        (3, (30, 30, 30, 30), 60.0, True),  # the noise forces resampling
+    ])
+    def test_fault_rows_match_per_row_loop(self, seed, counts, noise, resampled):
+        ds = gen_fault_dataset(counts=counts, seed=seed, noise_std=noise)
+        x, y, prov, n_resampled = reference_fault_dataset(counts, seed, noise)
+        assert (n_resampled > 0) == resampled
+        assert np.array_equal(ds.x, x)
+        assert np.array_equal(ds.y, y)
+        assert ds.provenance == prov
+
+    @pytest.mark.parametrize("seed, n_valves, failure_cycle, noise, resampled", [
+        (0, 2, 1500, 0.5, False),
+        (3, 1, 300, 60.0, True),
+    ])
+    def test_rul_rows_match_per_row_loop(self, seed, n_valves, failure_cycle, noise,
+                                         resampled):
+        ds = gen_rul_dataset(n_valves=n_valves, seed=seed, failure_cycle=failure_cycle,
+                             noise_std=noise)
+        x, y, prov, n_resampled = reference_rul_dataset(n_valves, seed, failure_cycle, 5,
+                                                        noise)
+        assert (n_resampled > 0) == resampled
+        assert np.array_equal(ds.x, x)
+        assert np.array_equal(ds.y, y)
+        assert ds.provenance == prov
+
+    def test_retries_run_out_as_in_per_row_loop(self):
+        # a 30 mA valve never clears the 40 mA edge threshold, whatever the seed
+        weak = ValveParams(settling_current=30.0)
+        fresh = DegradationState(cycle=0, failure_cycle=1)
+        good = (ValveParams(), FaultCondition.good(), fresh)
+        with pytest.raises(ExtractionError) as want:
+            reference_synth_features(weak, FaultCondition.good(), fresh, 0.0, 11)
+        with pytest.raises(ExtractionError) as got:
+            models._synth_features([good, (weak, FaultCondition.good(), fresh)], 0.0, [4, 11])
+        assert str(got.value) == str(want.value)
+        assert str(got.value.__cause__) == str(want.value.__cause__)
+        assert str(got.value.__cause__) == f"no usable edge with seed {11 + models._SYNTH_RETRIES - 1}"
 
 
 class TestEvaluate:
