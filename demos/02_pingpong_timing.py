@@ -9,7 +9,7 @@ rates, plus what happens when the consumer is too slow to keep up.
 
 import numpy as np
 
-from valvehealth import PingPongBuffer, buffer_fill_duration, max_cycles, run_acquisition
+from valvehealth import buffer_fill_duration, max_cycles, run_acquisition
 
 FS = 1000.0
 K = 500
@@ -19,14 +19,13 @@ def reconstruct(freq_hz: float) -> None:
     t = np.arange(12 * K) / FS
     src = np.round(2047.5 + 2047.5 * np.sin(2 * np.pi * freq_hz * t)).astype(np.int64)
 
-    buf = PingPongBuffer(K)
     chunks = []
 
     def consumer(handle):
         chunks.append(np.array(handle.data, copy=True))
-        buf.release(handle)
+        handle.release()
 
-    report = run_acquisition(iter(src), K, FS, consumer, buf=buf)
+    report = run_acquisition(iter(src), K, FS, consumer)
     exact = np.array_equal(np.concatenate(chunks), src)
     print(f"  {freq_hz:6.1f} Hz sine: {report.banks_delivered} bank switches, "
           f"exact={exact}, lossless={report.lossless}")
@@ -50,15 +49,14 @@ def main():
 
     print()
     print("a consumer that outlives the fill duration loses data, counted:")
-    buf = PingPongBuffer(K)
     held = []
 
     def hoarder(handle):
         held.append(handle)       # never releases in time
         if len(held) > 3:
-            buf.release(held.pop(0))
+            held.pop(0).release()
 
-    report = run_acquisition(iter(np.zeros(10 * K, dtype=int)), K, FS, hoarder, buf=buf)
+    report = run_acquisition(iter(np.zeros(10 * K, dtype=int)), K, FS, hoarder)
     print(f"  overruns={report.overrun_count}, lossless={report.lossless}")
 
 

@@ -17,7 +17,7 @@ from .models import (Dataset, EvalReport, build_fault_model, build_rul_model,
                      split_dataset, train_fault, train_rul)
 from .pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
                        run_monitor, scenario_source)
-from .tinynn import (Activation, LayerSpec, Loss, Mlp, ModelKind, TrainConfig,
+from .tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
                      TrainHistory, infer, restore, save, train)
 from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
                        TransientTrace, ValveParams, current_to_voltage,

@@ -3,9 +3,10 @@
 Two fixed banks alternate roles: a producer fills one while a consumer holds
 the other. When the active bank fills, the roles switch atomically and the
 just-filled bank is handed to the consumer as an immutable view that stays
-valid until released. If a bank must be refilled while the consumer still
-holds it, the write proceeds (newest data wins) and the overrun counter
-increments, so data loss is counted, never silent.
+valid until the consumer calls ``handle.release()``. If a bank must be
+refilled while the consumer still holds it, the write proceeds (newest data
+wins) and the overrun counter increments, so data loss is counted, never
+silent. ``run_acquisition`` owns the buffer; the consumer sees only handles.
 
 The producer moves data a block at a time: each block is at most the active
 bank's free space and is copied in with one slice assignment, so a bank
@@ -54,15 +55,20 @@ def max_cycles(k: int, f_op: float, fs: float) -> float:
 class BankHandle:
     """Read-only view of a filled bank, valid until released."""
 
-    __slots__ = ("bank_index", "seq", "data")
+    __slots__ = ("bank_index", "seq", "data", "_buf")
 
-    def __init__(self, bank_index: int, seq: int, data: np.ndarray):
+    def __init__(self, buf: PingPongBuffer, bank_index: int, seq: int, data: np.ndarray):
+        self._buf = buf
         self.bank_index = bank_index
         self.seq = seq
         self.data = data
 
     def __len__(self):
         return self.data.size
+
+    def release(self) -> None:
+        """Return the bank to the producer; releasing a stale handle is a no-op."""
+        self._buf._release(self)
 
 
 class PingPongBuffer:
@@ -96,7 +102,7 @@ class PingPongBuffer:
     def _hand_out(self, bank_index: int, length: int) -> BankHandle:
         view = self._banks[bank_index][:length].view()
         view.setflags(write=False)
-        handle = BankHandle(bank_index, self._seq, view)
+        handle = BankHandle(self, bank_index, self._seq, view)
         self._held[bank_index] = handle
         self._seq += 1
         return handle
@@ -138,10 +144,6 @@ class PingPongBuffer:
             self._write_pos = 0
         return handle
 
-    def push_sample(self, code: int) -> BankHandle | None:
-        """Store one sample; ``push_block`` of a one-code block."""
-        return self.push_block(np.array([code]))
-
     def flush(self) -> BankHandle | None:
         """Deliver the partially filled active bank (end of stream)."""
         if self._write_pos == 0:
@@ -153,8 +155,7 @@ class PingPongBuffer:
             self._write_pos = 0
         return handle
 
-    def release(self, handle: BankHandle) -> None:
-        """Return a bank to the producer; releasing a stale handle is a no-op."""
+    def _release(self, handle: BankHandle) -> None:
         with self._lock:
             if self._held[handle.bank_index] is handle:
                 self._held[handle.bank_index] = None
@@ -209,14 +210,14 @@ def _blocks(source, buf: PingPongBuffer):
 
 
 def run_acquisition(source, k: int, fs: float, consumer,
-                    clock: str = "virtual", f_op: float | None = None,
-                    buf: PingPongBuffer | None = None) -> TimingReport:
-    """Drive a sample stream through a ping-pong buffer.
+                    clock: str = "virtual", f_op: float | None = None) -> TimingReport:
+    """Drive a sample stream through a ping-pong buffer of two ``k``-sample
+    banks that the loop owns.
 
     ``source`` is an ndarray of codes (sliced) or any iterable of them.
-    ``consumer(handle)`` is invoked for every filled bank and is responsible
-    for releasing it; a consumer that holds banks too long causes counted
-    overruns instead of crashes. Each pass reads a block of at most the
+    ``consumer(handle)`` is invoked for every filled bank and returns it
+    with ``handle.release()``; a consumer that holds banks too long causes
+    counted overruns instead of crashes. Each pass reads a block of at most the
     active bank's free space and pushes it whole. With ``clock="virtual"``
     the consumer runs inline and pushes are unpaced (deterministic, as fast
     as the machine allows); with ``"realtime"`` the consumer runs on its own
@@ -227,16 +228,12 @@ def run_acquisition(source, k: int, fs: float, consumer,
     the bank it reuses. A consumer that raises stops the producer and the
     error is re-raised to the caller under either clock.
     Wall-clock consumer durations are measured in both modes. A trailing
-    partial bank is delivered at the end of the stream. Pass ``buf`` to
-    reuse a caller-owned buffer (the consumer needs it to release handles).
+    partial bank is delivered at the end of the stream.
     """
     b_fd = buffer_fill_duration(k, fs)  # validates k, fs
     if clock not in ("virtual", "realtime"):
         raise ParameterError(f"clock must be 'virtual' or 'realtime', got {clock!r}")
-    if buf is None:
-        buf = PingPongBuffer(k)
-    elif buf.k != k:
-        raise ParameterError(f"buffer bank size {buf.k} does not match k={k}")
+    buf = PingPongBuffer(k)
     start = time.perf_counter()  # sample 0 is due now; starting the worker must not shift it
     durations: list[float] = []
     crashed: list[Exception] = []

@@ -1,11 +1,12 @@
 """The live monitoring loop: samples -> banks -> features -> inference -> alarms.
 
-Raw ADC codes stream through the ping-pong buffer; each delivered bank is
-converted back to mA and scanned for actuation edges, the bank's new edges
-are extracted in one batch, and every edge runs through the fault
-classifier and the remaining-life regressor. An alarm is
-raised when any non-good class probability reaches the fault threshold or
-the predicted remaining life falls under the cycle threshold.
+Raw ADC codes stream through the ping-pong buffer that ``run_acquisition``
+owns; each delivered bank is copied out and released at once, converted
+back to mA and scanned for actuation edges. The bank's new edges are
+extracted in one batch, and every edge runs through the fault classifier
+and the remaining-life regressor. An alarm is raised when any non-good
+class probability reaches the fault threshold or the predicted remaining
+life falls under the cycle threshold.
 
 Actuations that straddle a bank boundary are handled by carrying the last
 (lower_window + frame) samples of each bank into the next bank's analysis
@@ -33,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tinynn
-from .acquisition import PingPongBuffer, TimingReport, run_acquisition
+from .acquisition import TimingReport, run_acquisition
 from .errors import ParameterError
 from .features import ExtractionConfig, detect_rising_edges, extract_batch
 # Kept bound as pipeline.extract_features: the benchmark's tracer wraps that name.
@@ -118,7 +119,7 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
 
     def consume(handle):
         codes = np.array(handle.data, copy=True)
-        buf.release(handle)
+        handle.release()
         ma = codes_to_current(codes, cfg.adc)
         analysis = np.concatenate((state["tail"], ma))
         offset = state["pos"] - state["tail"].size
@@ -155,9 +156,8 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
         state["pos"] += ma.size
         state["bank"] += 1
 
-    buf = PingPongBuffer(cfg.k)  # caller-owned so consume() can release handles
     acquired = run_acquisition(source, cfg.k, cfg.fs, consume,
-                               clock=cfg.clock, f_op=cfg.f_op, buf=buf)
+                               clock=cfg.clock, f_op=cfg.f_op)
     return events, replace(acquired, inference_time_per_cycle=(
         sum(it_pc) / len(it_pc) if it_pc else None))
 

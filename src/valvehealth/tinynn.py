@@ -6,7 +6,8 @@ cross-entropy and mean-absolute-error losses, and the RMSProp optimizer.
 Gradients are exact reverse-mode derivatives of the mean batch loss.
 
 The model kind picks the training loss: a classifier is fit on categorical
-cross-entropy, a regressor on mean absolute error. RMSProp uses the Keras
+cross-entropy, a regressor on mean absolute error; one loss function scores
+every training batch and every validation pass. RMSProp uses the Keras
 defaults rho = 0.9 and epsilon = 1e-7 as fixed constants; the learning rate
 is the only optimizer setting.
 
@@ -54,11 +55,6 @@ class Activation(Enum):
 class ModelKind(Enum):
     CLASSIFIER = 0
     REGRESSOR = 1
-
-
-class Loss(Enum):
-    CATEGORICAL_CROSS_ENTROPY = "cce"
-    MEAN_ABSOLUTE_ERROR = "mae"
 
 
 def _f32(x):
@@ -150,31 +146,6 @@ def _softmax(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cce_loss(y_true, y_pred) -> float:
-    """Categorical cross-entropy, averaged over the batch.
-
-    Predictions are clamped at 1e-12 before the log so a confident miss
-    stays finite.
-    """
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ShapeError(f"shape mismatch {y_true.shape} vs {y_pred.shape}")
-    per_sample = -(y_true * np.log(np.clip(y_pred, 1e-12, None))).sum(axis=-1)
-    return float(per_sample.mean())
-
-
-def mae_loss(y_true, y_pred) -> float:
-    """Mean absolute error over all entries."""
-    y_true = np.asarray(y_true, dtype=np.float64)
-    y_pred = np.asarray(y_pred, dtype=np.float64)
-    if y_true.shape != y_pred.shape:
-        raise ShapeError(f"shape mismatch {y_true.shape} vs {y_pred.shape}")
-    if y_true.size == 0:
-        raise ParameterError("mae_loss needs at least one element")
-    return float(np.abs(y_true - y_pred).mean())
-
-
 def _activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
     if spec.activation is Activation.LINEAR:
         return z
@@ -214,20 +185,23 @@ def infer(model: Mlp, x) -> np.ndarray:
     return out[0] if single else out
 
 
-def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray, loss: Loss):
-    """Loss and per-layer gradients on scaled rows ``h``; the caller has
-    checked that ``y`` is ``(len(h), out_dim)``. The loss expressions are
-    ``cce_loss``/``mae_loss`` inlined, in the same operation order."""
-    n = h.shape[0]
-    zs, activations = _layers(model, h)
-    y_hat = activations[-1]
-    if loss is Loss.CATEGORICAL_CROSS_ENTROPY:
+def _loss(kind: ModelKind, y: np.ndarray, y_hat: np.ndarray):
+    """The batch-mean training loss of a model of ``kind`` and its gradient
+    with respect to ``y_hat``: categorical cross-entropy for a classifier,
+    with predictions clamped at 1e-12 so a confident miss stays finite, and
+    mean absolute error for a regressor."""
+    if kind is ModelKind.CLASSIFIER:
         clipped = np.clip(y_hat, 1e-12, None)
         value = float((-(y * np.log(clipped)).sum(axis=-1)).mean())
-        d_act = -(y / clipped) / n
-    else:
-        value = float(np.abs(y - y_hat).mean())
-        d_act = np.sign(y_hat - y) / y.size
+        return value, -(y / clipped) / y.shape[0]
+    return float(np.abs(y - y_hat).mean()), np.sign(y_hat - y) / y.size
+
+
+def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray):
+    """Loss and per-layer gradients on scaled rows ``h``; the caller has
+    checked that ``y`` is ``(len(h), out_dim)``."""
+    zs, activations = _layers(model, h)
+    value, d_act = _loss(model.kind, y, activations[-1])
 
     grads = []
     for i in range(len(model.layers) - 1, -1, -1):
@@ -245,16 +219,6 @@ def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray, loss: Loss):
             d_act = dz @ model.weights[i]
     grads.reverse()
     return value, grads
-
-
-def batch_loss(model: Mlp, x, y) -> float:
-    """Mean loss of the model on a batch (no gradient): categorical
-    cross-entropy for a classifier, mean absolute error for a regressor."""
-    y = np.asarray(y, dtype=np.float64)
-    y_hat = infer(model, np.asarray(x, dtype=np.float64))
-    if model.kind is ModelKind.CLASSIFIER:
-        return cce_loss(y, y_hat)
-    return mae_loss(y, y_hat)
 
 
 @dataclass(frozen=True)
@@ -318,8 +282,6 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     model.scaler_mean = mean
     model.scaler_std = std
     h_tr = _scale(model, x_tr)
-    loss = (Loss.CATEGORICAL_CROSS_ENTROPY if model.kind is ModelKind.CLASSIFIER
-            else Loss.MEAN_ABSOLUTE_ERROR)
 
     arrays = [arr for pair in zip(model.weights, model.biases) for arr in pair]
     flat = np.concatenate([arr.ravel() for arr in arrays])
@@ -337,18 +299,18 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
-        batch_losses = []
+        step_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx], loss)
+            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx])
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch)
-            batch_losses.append(value)
+            step_losses.append(value)
             np.concatenate([arr.ravel() for pair in grads for arr in pair], out=grad)
             stepped, state = rmsprop_step(flat, grad, state, cfg.learning_rate)
             flat[:] = stepped.astype(np.float32)
-        epoch_train = float(np.mean(batch_losses))
-        epoch_val = batch_loss(model, x_va, y_va)
+        epoch_train = float(np.mean(step_losses))
+        epoch_val = _loss(model.kind, y_va, infer(model, x_va))[0]
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):
             raise TrainingDivergedError(epoch)
         history.train_loss.append(epoch_train)

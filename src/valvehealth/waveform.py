@@ -178,15 +178,10 @@ class AdcConfig:
 
 @dataclass(frozen=True)
 class TransientTrace:
-    """Uniformly sampled drive current in mA.
-
-    ``trigger_index`` is the ground-truth actuation start, kept only so test
-    oracles can check the edge detector; it is not persisted to CSV.
-    """
+    """Uniformly sampled drive current in mA."""
 
     samples: np.ndarray
     sample_rate: float
-    trigger_index: int | None = None
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -346,11 +341,10 @@ def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState
                     noise_std: float = 0.0, seed: int = 0,
                     pre_ms: float = 60.0, post_ms: float = 105.0,
                     fs: float = 1000.0) -> TransientTrace:
-    """One-row form of ``synth_batch``, with the actuation start kept as the
-    trace's ``trigger_index``."""
+    """One-row form of ``synth_batch``: the actuation starts ``pre_ms`` in."""
     samples = synth_batch([effective_transient(p, fault, deg)], [seed], noise_std,
                           pre_ms, post_ms, fs)
-    return TransientTrace(samples[0], fs, trigger_index=round(pre_ms * fs / 1000.0))
+    return TransientTrace(samples[0], fs)
 
 
 def write_trace_csv(trace: TransientTrace, path) -> None:

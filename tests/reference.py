@@ -27,7 +27,7 @@ from valvehealth import models, tinynn
 from valvehealth.errors import (DegenerateTransientError, ExtractionError,
                                 NoActuationError, ParameterError, TrainingDivergedError)
 from valvehealth.features import ExtractionConfig, extract_all
-from valvehealth.tinynn import Activation, Loss, ModelKind
+from valvehealth.tinynn import Activation, ModelKind
 from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
                                   ValveParams, synth_transient)
 
@@ -192,15 +192,23 @@ def reference_forward(model, x):
     return zs, activations
 
 
-def reference_loss_and_grads(model, x, y, loss):
+def reference_loss(model, y, y_hat):
+    """Batch-mean categorical cross-entropy (predictions clamped at 1e-12)
+    for a classifier, mean absolute error for a regressor."""
+    if model.kind is ModelKind.CLASSIFIER:
+        per_row = -(y * np.log(np.clip(y_hat, 1e-12, None))).sum(axis=-1)
+        return float(per_row.mean())
+    return float(np.abs(y - y_hat).mean())
+
+
+def reference_loss_and_grads(model, x, y):
     n = x.shape[0]
     zs, activations = reference_forward(model, x)
     y_hat = activations[-1]
-    if loss is Loss.CATEGORICAL_CROSS_ENTROPY:
-        value = tinynn.cce_loss(y, y_hat)
+    value = reference_loss(model, y, y_hat)
+    if model.kind is ModelKind.CLASSIFIER:
         d_act = -(y / np.clip(y_hat, 1e-12, None)) / n
     else:
-        value = tinynn.mae_loss(y, y_hat)
         d_act = np.sign(y_hat - y) / y.size
 
     grads = []
@@ -223,8 +231,6 @@ def reference_loss_and_grads(model, x, y, loss):
 def reference_train(model, train_set, val_set, cfg):
     """Fit ``model`` in place on cross-entropy for a classifier and mean
     absolute error for a regressor; returns ``(train_loss, val_loss)``."""
-    loss = (Loss.CATEGORICAL_CROSS_ENTROPY if model.kind is ModelKind.CLASSIFIER
-            else Loss.MEAN_ABSOLUTE_ERROR)
     x_tr = np.asarray(train_set[0], dtype=np.float64)
     y_tr = np.asarray(train_set[1], dtype=np.float64)
     x_va = np.asarray(val_set[0], dtype=np.float64)
@@ -239,13 +245,13 @@ def reference_train(model, train_set, val_set, cfg):
     train_loss, val_loss = [], []
     for epoch in range(1, cfg.epochs + 1):
         order = rng.permutation(n)
-        batch_losses = []
+        step_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
-            value, grads = reference_loss_and_grads(model, x_tr[idx], y_tr[idx], loss)
+            value, grads = reference_loss_and_grads(model, x_tr[idx], y_tr[idx])
             if not np.isfinite(value):
                 raise TrainingDivergedError(epoch)
-            batch_losses.append(value)
+            step_losses.append(value)
             flat_grads = [arr for pair in grads for arr in pair]
             for j, g in enumerate(flat_grads):
                 params[j], state[j] = tinynn.rmsprop_step(params[j], g, state[j],
@@ -255,6 +261,6 @@ def reference_train(model, train_set, val_set, cfg):
                 model.biases[i] = tinynn._f32(params[2 * i + 1])
                 params[2 * i] = model.weights[i]
                 params[2 * i + 1] = model.biases[i]
-        train_loss.append(float(np.mean(batch_losses)))
-        val_loss.append(tinynn.batch_loss(model, x_va, y_va))
+        train_loss.append(float(np.mean(step_losses)))
+        val_loss.append(reference_loss(model, y_va, reference_forward(model, x_va)[1][-1]))
     return train_loss, val_loss

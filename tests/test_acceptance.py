@@ -12,13 +12,13 @@ from conftest import constant_schedule, degradation_schedule, random_synthetic_t
 from reference import naive_extract_all
 from test_tinynn import finite_difference_check
 from valvehealth import models, tinynn
-from valvehealth.acquisition import PingPongBuffer, max_cycles, run_acquisition
+from valvehealth.acquisition import max_cycles, run_acquisition
 from valvehealth.errors import (DegenerateTransientError, ModelFormatError,
                                 NoActuationError)
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
                                   extract_features)
 from valvehealth.pipeline import MonitorConfig, MonitorEvent, run_monitor, scenario_source
-from valvehealth.tinynn import (Activation, LayerSpec, Loss, ModelKind, new_mlp,
+from valvehealth.tinynn import (Activation, LayerSpec, ModelKind, new_mlp,
                                 parameter_counts, serialize, deserialize)
 from valvehealth.waveform import (FaultCondition, current_to_voltage,
                                   sensor_gain)
@@ -91,28 +91,25 @@ def test_criterion_6_lossless_acquisition():
     t = np.arange(n) / fs
     for freq in (100.0, 10.0, 1.0):
         src = np.round(2047.5 + 2047.5 * np.sin(2 * np.pi * freq * t)).astype(np.int64)
-        buf = PingPongBuffer(k)
         chunks = []
 
         def consumer(handle):
             chunks.append(np.array(handle.data, copy=True))
-            buf.release(handle)
+            handle.release()
 
-        report = run_acquisition(iter(src), k, fs, consumer, buf=buf)
+        report = run_acquisition(iter(src), k, fs, consumer)
         assert np.array_equal(np.concatenate(chunks), src)
         assert report.lossless and report.banks_delivered >= 10
 
     # a consumer holding banks beyond the fill duration loses data, counted
-    buf = PingPongBuffer(k)
     held = []
 
     def starved(handle):
         held.append(handle)
         if len(held) > 2:
-            buf.release(held.pop(0))
+            held.pop(0).release()
 
-    slow_report = run_acquisition(iter(np.zeros(8 * k, dtype=int)), k, fs,
-                                  starved, buf=buf)
+    slow_report = run_acquisition(iter(np.zeros(8 * k, dtype=int)), k, fs, starved)
     assert not slow_report.lossless and slow_report.overrun_count >= 1
     ok(6, "100/10/1 Hz sines reconstruct exactly over >= 10 switches; "
           f"starved consumer -> {slow_report.overrun_count} counted overruns")
@@ -130,12 +127,10 @@ def test_criterion_7_gradient_correctness():
     ]
     for seed in range(50):
         specs = shapes[seed % len(shapes)]
-        if specs[-1].activation is Activation.SOFTMAX:
-            loss, kind = Loss.CATEGORICAL_CROSS_ENTROPY, ModelKind.CLASSIFIER
-        else:
-            loss, kind = Loss.MEAN_ABSOLUTE_ERROR, ModelKind.REGRESSOR
+        kind = (ModelKind.CLASSIFIER if specs[-1].activation is Activation.SOFTMAX
+                else ModelKind.REGRESSOR)
         model = new_mlp(specs, seed=seed, kind=kind)
-        finite_difference_check(model, loss, seed, h=1e-5, tol=1e-4)
+        finite_difference_check(model, seed, h=1e-5, tol=1e-4)
     ok(7, "50 random networks match central finite differences within 1e-4 relative")
 
 

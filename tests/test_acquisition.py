@@ -52,13 +52,13 @@ class TestTimingAlgebra:
 class TestPingPongBuffer:
     def test_not_full_returns_nothing(self):
         buf = PingPongBuffer(4)
-        assert all(buf.push_sample(i) is None for i in range(3))
+        assert all(buf.push_block(np.array([i])) is None for i in range(3))
 
     def test_full_bank_in_order(self):
         buf = PingPongBuffer(4)
         handle = None
         for i in (10, 11, 12, 13):
-            handle = buf.push_sample(i) or handle
+            handle = buf.push_block(np.array([i])) or handle
         assert handle is not None
         assert list(handle.data) == [10, 11, 12, 13]
         assert handle.seq == 0
@@ -66,32 +66,32 @@ class TestPingPongBuffer:
     def test_overrun_counted_per_reuse(self):
         buf = PingPongBuffer(2)
         for i in range(6):  # three fills, no releases
-            buf.push_sample(i)
+            buf.push_block(np.array([i]))
         assert buf.overrun_count == 2
 
     def test_release_prevents_overrun(self):
         buf = PingPongBuffer(2)
         for i in range(20):
-            h = buf.push_sample(i)
+            h = buf.push_block(np.array([i]))
             if h is not None:
-                buf.release(h)
+                h.release()
         assert buf.overrun_count == 0
 
     def test_held_bank_content_stable_while_other_fills(self):
         buf = PingPongBuffer(4)
         held = None
         for i in range(4):
-            held = buf.push_sample(i) or held
+            held = buf.push_block(np.array([i])) or held
         snapshot = np.array(held.data, copy=True)
         for i in range(4, 7):  # fills the other bank only
-            buf.push_sample(i)
+            buf.push_block(np.array([i]))
         assert np.array_equal(held.data, snapshot)
 
     def test_handles_are_read_only(self):
         buf = PingPongBuffer(2)
         h = None
         for i in range(2):
-            h = buf.push_sample(i) or h
+            h = buf.push_block(np.array([i])) or h
         with pytest.raises(ValueError):
             h.data[0] = 99
 
@@ -101,9 +101,9 @@ class TestPingPongBuffer:
         buf = PingPongBuffer(2)
         held = None
         for i in range(2):
-            held = buf.push_sample(i) or held
+            held = buf.push_block(np.array([i])) or held
         for i in range(2, 6):
-            buf.push_sample(i)
+            buf.push_block(np.array([i]))
         assert buf.overrun_count == 2
         assert list(held.data) == [4, 5]
 
@@ -111,11 +111,11 @@ class TestPingPongBuffer:
         buf = PingPongBuffer(2)
         held = None
         for i in range(6):
-            h = buf.push_sample(i)
+            h = buf.push_block(np.array([i]))
             if h is not None and held is None:
                 held = h
         count = buf.overrun_count
-        buf.release(held)  # long stale
+        held.release()  # long stale
         assert buf.overrun_count == count
 
     def test_zero_size_rejected(self):
@@ -167,10 +167,11 @@ class TestPushBlock:
         assert buf.free == 3  # nothing was written
         assert list(buf.push_block([2, 3, 4]).data) == [1, 2, 3, 4]
 
-    def test_same_banks_as_push_sample(self):
+    def test_same_banks_as_one_code_blocks(self):
         src = quantized_sine(7.0, 1000.0, 23)
         by_sample, by_block = PingPongBuffer(5), PingPongBuffer(5)
-        got_sample = [h for h in map(by_sample.push_sample, src) if h is not None]
+        got_sample = [h for h in (by_sample.push_block(np.array([c])) for c in src)
+                      if h is not None]
         got_block = []
         pos = 0
         while pos < src.size:
@@ -191,9 +192,9 @@ class TestCodeRange:
     WIDE = 2 ** 32 + 100  # wraps to 100, a valid-looking code, in int32
 
     @pytest.mark.parametrize("code", [WIDE, np.int64(WIDE), -2 ** 31 - 1])
-    def test_push_sample_rejects(self, code):
+    def test_one_code_block_rejects(self, code):
         with pytest.raises(OverflowError):
-            PingPongBuffer(4).push_sample(code)
+            PingPongBuffer(4).push_block(np.array([code]))
 
     def test_push_block_rejects_before_writing(self):
         buf = PingPongBuffer(4)
@@ -225,10 +226,10 @@ class TestCodeDtype:
 
     FLOATS = [10.6, 20.2, 30.9, 40.1]  # would truncate to 10, 20, 30, 40
 
-    def test_push_sample_rejects_float(self):
+    def test_one_code_block_rejects_float(self):
         buf = PingPongBuffer(4)
         with pytest.raises(ParameterError):
-            buf.push_sample(10.6)
+            buf.push_block(np.array([10.6]))
         assert buf.free == 4
 
     def test_push_block_rejects_float_before_writing(self):
@@ -241,12 +242,11 @@ class TestCodeDtype:
     @pytest.mark.parametrize("kind", ["ndarray", "iterator"])
     def test_float_source_raises(self, clock, kind):
         source = np.array(self.FLOATS) if kind == "ndarray" else iter(self.FLOATS)
-        buf = PingPongBuffer(2)
         banks = []
         with pytest.raises(ParameterError):
             run_acquisition(source, 2, 100_000.0, lambda h: banks.append(list(h.data)),
-                            clock=clock, buf=buf)
-        assert banks == [] and buf.free == 2
+                            clock=clock)
+        assert banks == []
 
 
 class TestRunAcquisition:
@@ -255,13 +255,12 @@ class TestRunAcquisition:
         for freq in (100.0, 10.0, 1.0):
             src = quantized_sine(freq, fs, 6000)  # 12 bank switches
             chunks = []
-            buf = PingPongBuffer(k)
 
             def consumer(handle):
                 chunks.append(np.array(handle.data, copy=True))
-                buf.release(handle)
+                handle.release()
 
-            report = run_acquisition(iter(src), k, fs, consumer, buf=buf)
+            report = run_acquisition(iter(src), k, fs, consumer)
             assert np.array_equal(np.concatenate(chunks), src)
             assert report.lossless and report.overrun_count == 0
             assert report.banks_delivered == 12
@@ -271,47 +270,44 @@ class TestRunAcquisition:
         assert report.banks_delivered == 0
         assert report.lossless
 
+    @pytest.mark.parametrize("clock", ["virtual", "realtime"])
+    def test_default_call_releases_banks(self, clock):
+        # the loop owns its buffer, and a handle returns its own bank; a
+        # 2 ms bank leaves the realtime consumer thread time to release it
+        report = run_acquisition(np.arange(20, dtype=np.int32), 2, 1e3,
+                                 lambda h: h.release(), clock=clock)
+        assert report.banks_delivered == 10
+        assert report.overrun_count == 0 and report.lossless
+
     def test_partial_bank_flushed(self):
         sizes = []
-        buf = PingPongBuffer(100)
 
         def consumer(handle):
             sizes.append(len(handle))
-            buf.release(handle)
+            handle.release()
 
-        run_acquisition(iter(range(250)), 100, 1000.0, consumer, buf=buf)
+        run_acquisition(iter(range(250)), 100, 1000.0, consumer)
         assert sizes == [100, 100, 50]
 
     def test_starved_consumer_counts_overruns(self):
         held = []
-        buf = PingPongBuffer(50)
 
         def slow(handle):  # holds each bank across two further fills
             held.append(handle)
             if len(held) > 2:
-                buf.release(held.pop(0))
+                held.pop(0).release()
 
-        report = run_acquisition(iter(range(1000)), 50, 1000.0, slow, buf=buf)
+        report = run_acquisition(iter(range(1000)), 50, 1000.0, slow)
         assert not report.lossless
         assert report.overrun_count >= 1
 
     def test_it_pb_measured_and_under_fill(self):
-        buf = PingPongBuffer(1000)
-
-        def consumer(handle):
-            buf.release(handle)
-
-        report = run_acquisition(iter(range(5000)), 1000, 1000.0, consumer,
-                                 buf=buf, f_op=0.5)
+        report = run_acquisition(iter(range(5000)), 1000, 1000.0, lambda h: h.release(),
+                                 f_op=0.5)
         assert report.inference_time_per_buffer is not None
         # microseconds of work vs a 1 s fill
         assert report.inference_time_per_buffer < report.buffer_fill_duration
         assert report.max_cycles == 0.5
-
-    def test_mismatched_buffer_rejected(self):
-        with pytest.raises(ParameterError):
-            run_acquisition(iter([]), 10, 1000.0, lambda h: None,
-                            buf=PingPongBuffer(20))
 
     def test_bad_clock_rejected(self):
         with pytest.raises(ParameterError):
@@ -319,9 +315,8 @@ class TestRunAcquisition:
 
     def test_producer_lag_measured_only_under_realtime(self):
         for clock in ("virtual", "realtime"):
-            buf = PingPongBuffer(100)
-            report = run_acquisition(np.arange(500), 100, 50_000.0, buf.release,
-                                     clock=clock, buf=buf)
+            report = run_acquisition(np.arange(500), 100, 50_000.0, lambda h: h.release(),
+                                     clock=clock)
             assert report.banks_delivered == 5
             if clock == "virtual":
                 assert report.producer_lag_max is None
@@ -340,13 +335,12 @@ class TestRunAcquisition:
                     time.sleep(0.06)
                 yield i % 4096
 
-        buf = PingPongBuffer(k)
 
         def consumer(handle):
             time.sleep(0.002)  # releases well inside B_fd
-            buf.release(handle)
+            handle.release()
 
-        report = run_acquisition(source(), k, fs, consumer, clock="realtime", buf=buf)
+        report = run_acquisition(source(), k, fs, consumer, clock="realtime")
         assert report.banks_delivered == 6
         assert report.lossless
         assert report.producer_lag_max >= 0.03  # the stall shows as producer lag
@@ -354,10 +348,9 @@ class TestRunAcquisition:
     def test_realtime_hoarding_consumer_counts_overruns(self):
         # the wait for a release is bounded: a consumer that never releases
         # still costs one counted overrun per reuse, as under the virtual clock
-        buf = PingPongBuffer(100)
         held = []
         report = run_acquisition(np.arange(600), 100, 50_000.0, held.append,
-                                 clock="realtime", buf=buf)
+                                 clock="realtime")
         assert report.banks_delivered == 6
         assert report.overrun_count == 5
 
@@ -367,13 +360,12 @@ class TestRunAcquisition:
 
         def banks(source):
             out = []
-            buf = PingPongBuffer(k)
 
             def consumer(handle):
                 out.append(np.array(handle.data, copy=True))
-                buf.release(handle)
+                handle.release()
 
-            run_acquisition(source, k, 1000.0, consumer, buf=buf)
+            run_acquisition(source, k, 1000.0, consumer)
             return out
 
         ref = banks(src)
@@ -396,17 +388,16 @@ class TestConsumerFailure:
                 yield i % 4096
 
         boom = RuntimeError("consumer failed on the second bank")
-        buf = PingPongBuffer(k)
         seen = []
 
         def consumer(handle):
             seen.append(handle.seq)
-            buf.release(handle)
+            handle.release()
             if handle.seq == 1:
                 raise boom
 
         with pytest.raises(RuntimeError) as info:
-            run_acquisition(source(), k, 25_000.0, consumer, clock=clock, buf=buf)
+            run_acquisition(source(), k, 25_000.0, consumer, clock=clock)
         assert info.value is boom
         assert seen == [0, 1]
         assert len(read) < n  # the producer stopped pulling from the source
@@ -423,7 +414,7 @@ class TestConcurrency:
 
         def producer():
             for code in src:
-                h = buf.push_sample(int(code))
+                h = buf.push_block(np.array([int(code)]))
                 if h is not None:
                     handoff.put(h)
                     handoff.join()  # lossless regime: wait for the consumer
@@ -437,7 +428,7 @@ class TestConcurrency:
             if h is None:
                 break
             chunks.append(np.array(h.data, copy=True))
-            buf.release(h)
+            h.release()
             handoff.task_done()
         thread.join()
         assert np.array_equal(np.concatenate(chunks), src)
@@ -448,12 +439,11 @@ class TestConcurrency:
         fs, k = 50_000.0, 200
         src = quantized_sine(1000.0, fs, n)
         chunks = []
-        buf = PingPongBuffer(k)
 
         def consumer(handle):
             chunks.append(np.array(handle.data, copy=True))
-            buf.release(handle)
+            handle.release()
 
-        report = run_acquisition(iter(src), k, fs, consumer, clock="realtime", buf=buf)
+        report = run_acquisition(iter(src), k, fs, consumer, clock="realtime")
         assert np.array_equal(np.concatenate(chunks), src)
         assert report.lossless

@@ -15,6 +15,7 @@ from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition,
 
 GOOD = FaultCondition.good()
 FRESH = DegradationState(cycle=0, failure_cycle=1)
+LEAD = 60  # samples before the actuation: synth_transient's default 60 ms at 1 kHz
 
 
 class TestSensorAlgebra:
@@ -153,8 +154,8 @@ class TestSynthTransient:
 
     def test_idle_segment_then_rise(self):
         tr = synth_transient(ValveParams(), GOOD, FRESH)
-        assert tr.trigger_index == 60
-        assert np.all(tr.samples[:60] == 0.0)
+        assert np.all(tr.samples[:LEAD] == 0.0)
+        assert tr.samples[LEAD + 1] > 0.0  # the rise starts where the lead-in ends
         assert tr.samples[-1] > 200.0
 
     def test_delta_ecv_matches_closed_form_within_one_lsb(self):
@@ -164,7 +165,7 @@ class TestSynthTransient:
         p = ValveParams()
         tr = synth_transient(p, GOOD, FRESH)
         (z, ft), = extract_all(tr)
-        t = (np.arange(tr.samples.size) - tr.trigger_index) * 1.0
+        t = (np.arange(tr.samples.size) - LEAD) * 1.0
         analog_upper = transient_current(p, GOOD, FRESH, t[z + 30: z + 50]).mean()
         analog_lower = transient_current(p, GOOD, FRESH, t[z - 50: z]).mean()
         assert abs(ft.delta_ecv - (analog_upper - analog_lower)) <= adc.lsb_ma
@@ -183,10 +184,10 @@ class TestSynthTransient:
     def test_spool_stuck_has_no_notch(self):
         p = ValveParams()
         tr = synth_transient(p, FaultCondition.spool_stuck(), FRESH)
-        lo = tr.trigger_index + round(p.dip_time) - 5
-        hi = tr.trigger_index + round(p.dip_time) + 5
+        lo = LEAD + round(p.dip_time) - 5
+        hi = LEAD + round(p.dip_time) + 5
         window = tr.samples[lo:hi]
-        t = (np.arange(lo, hi) - tr.trigger_index) * 1.0
+        t = (np.arange(lo, hi) - LEAD) * 1.0
         rise = transient_current(p, FaultCondition.spool_stuck(), FRESH, t)
         assert np.all(np.abs(window - rise) <= AdcConfig().lsb_ma)
         assert window.min() == window[0]  # monotone rise, no dip
@@ -194,8 +195,8 @@ class TestSynthTransient:
     def test_good_valve_has_visible_dip(self):
         p = ValveParams()
         tr = synth_transient(p, GOOD, FRESH)
-        dip_region = tr.samples[tr.trigger_index + 10: tr.trigger_index + 20]
-        plateau = tr.samples[tr.trigger_index + 40]
+        dip_region = tr.samples[LEAD + 10: LEAD + 20]
+        plateau = tr.samples[LEAD + 40]
         assert plateau - dip_region.min() > 0.8 * p.dip_depth
 
     def test_spring_failure_dip_later_and_shallower(self):
