@@ -19,12 +19,12 @@ Only (di_dt, auc) feed the downstream models; the rest are diagnostics.
 All window lengths are sample counts at 1 kHz (1 sample = 1 ms); use
 ``ExtractionConfig.for_sample_rate`` for other rates.
 
-Extraction is batched: ``extract_batch`` gathers the frames of any number
-of edges into one window matrix and computes every feature row by row,
-with a per-row error code where a single edge would raise. A row's values
-are the same bits whichever other rows share its call. ``extract_all``
-calls it once per trace, the monitor once per bank and dataset synthesis
-once per dataset; ``extract_features`` is its one-row form.
+Detection and extraction are batched: ``detect_batch`` scans every row of a
+trace matrix with one cumulative sum and one hit search, and
+``extract_batch`` computes every feature of any number of edges row by row
+over one window matrix, with a per-row error code where a single edge
+would raise. A row's result does not depend on the other rows in its call.
+``detect_rising_edges`` and ``extract_features`` are the one-row forms.
 """
 
 from __future__ import annotations
@@ -92,32 +92,39 @@ class TransientFeatures:
     auc: float       # mA
 
 
-def detect_rising_edges(samples, cfg: ExtractionConfig = ExtractionConfig()) -> list[int]:
-    """Locate actuation edges; returns their zero indices in scan order.
+def detect_batch(matrix, cfg: ExtractionConfig) -> list[list[int]]:
+    """Locate the actuation edges of each row of a ``(rows, samples)``
+    matrix; returns every row's zero indices in scan order.
 
-    After a detection at window start z the scan resumes at
+    After a detection at window start z a row's scan resumes at
     z + skip_after_event + 1. Edges without ``lower_window`` samples of
     history or ``frame`` samples of lookahead are dropped (the skip still
     applies, so the scan stays aligned with the naive reference).
     """
-    x = np.asarray(samples, dtype=np.float64)
-    n = x.size
-    if n <= cfg.window:
-        return []
-    csum = np.concatenate(([0.0], np.cumsum(x)))
-    starts = np.arange(n - cfg.window)
-    means = (csum[starts + cfg.window] - csum[starts]) / cfg.window
-    hits = np.flatnonzero((means >= cfg.edge_threshold) & (x[starts] <= cfg.idle_max))
-
-    edges: list[int] = []
-    next_allowed = 0
-    for z in hits:
-        if z < next_allowed:
+    x = np.asarray(matrix, dtype=np.float64)
+    rows, n = x.shape
+    w = cfg.window
+    edges: list[list[int]] = [[] for _ in range(rows)]
+    if n <= w:
+        return edges
+    csum = np.zeros((rows, n + 1))
+    np.cumsum(x, axis=1, out=csum[:, 1:])
+    means = (csum[:, w:n] - csum[:, :n - w]) / w
+    hit_rows, hit_starts = np.nonzero((means >= cfg.edge_threshold)
+                                      & (x[:, :n - w] <= cfg.idle_max))
+    next_allowed = [0] * rows
+    for r, z in zip(hit_rows.tolist(), hit_starts.tolist()):
+        if z < next_allowed[r]:
             continue
         if z >= cfg.lower_window and z + cfg.frame <= n:
-            edges.append(int(z))
-        next_allowed = int(z) + cfg.skip_after_event + 1
+            edges[r].append(z)
+        next_allowed[r] = z + cfg.skip_after_event + 1
     return edges
+
+
+def detect_rising_edges(samples, cfg: ExtractionConfig = ExtractionConfig()) -> list[int]:
+    """One-row form of ``detect_batch``: the edges of one trace."""
+    return detect_batch(np.asarray(samples, dtype=np.float64).reshape(1, -1), cfg)[0]
 
 
 _FULL_COLUMNS = ["zero_index", "ecv_lower_avg", "ecv_upper_avg", "delta_ecv",

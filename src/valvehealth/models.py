@@ -5,9 +5,9 @@ remaining useful life is a scalar regression over the same pair. Synthetic
 datasets are produced by running the waveform generator through the feature
 extractor, so every labeled row went through the same path real captures
 would take: rows are synthesized a chunk at a time as one trace matrix,
-every row is scanned for edges, and the chunk's edges are extracted in one
-batch. Captured data can replace synthetic data through the dataset CSV
-format (``di_dt,auc,target``) without code changes.
+the chunk is scanned for edges in one ``detect_batch`` call, and its edges
+are extracted in one batch. Captured data can replace synthetic data
+through the dataset CSV format (``di_dt,auc,target``) without code changes.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import features, tinynn
+from . import tinynn
 from .errors import CsvFormatError, ExtractionError, ParameterError
-from .features import OK, ExtractionConfig, extract_batch
+from .features import OK, ExtractionConfig, detect_batch, extract_batch
 from .tinynn import Activation, LayerSpec, Mlp, ModelKind, TrainConfig, new_mlp
 from .waveform import (DegradationState, FaultCondition, FaultKind, ValveParams,
                        effective_transient, synth_batch)
@@ -141,10 +141,11 @@ def _jittered(rng: np.random.Generator, base: ValveParams, spread: float) -> Val
 def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
     """(di_dt, auc) of one actuation per ``(params, fault, deg)`` condition.
 
-    Rows are synthesized ``_SYNTH_CHUNK`` at a time as one trace matrix and
-    every edge detected in the chunk is extracted in one batch; a row keeps
-    its first clean edge. Rows without one are resampled with the next
-    seed, up to ``_SYNTH_RETRIES`` seeds. Returns ``(x, used_seeds)``.
+    Rows are synthesized ``_SYNTH_CHUNK`` at a time as one trace matrix,
+    which is scanned for edges in one call; every edge found is extracted
+    in one batch and a row keeps its first clean edge. Rows without one are
+    resampled with the next seed, up to ``_SYNTH_RETRIES`` seeds. Returns
+    ``(x, used_seeds)``.
     """
     transients = [effective_transient(*c) for c in conditions]
     cfg = ExtractionConfig()  # synth_batch samples at 1 kHz
@@ -156,9 +157,7 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
             traces = synth_batch([transients[i] for i in todo],
                                  [seeds[i] + attempt for i in todo], noise_std)
             rows, flat = [], []
-            for r, trace in enumerate(traces):
-                # through the module, so a wrapper of features.detect_rising_edges sees it
-                edges = features.detect_rising_edges(trace, cfg)
+            for r, edges in enumerate(detect_batch(traces, cfg)):
                 rows += [r] * len(edges)
                 flat += [r * traces.shape[1] + z for z in edges]
             batch = extract_batch(traces.ravel(), flat, cfg)

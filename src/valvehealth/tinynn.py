@@ -13,8 +13,10 @@ is the only optimizer setting.
 
 Numerics: parameters live in float64 arrays but are kept on the float32 grid
 (snapped after initialization and after every optimizer step). During
-training every weight and bias is a view into one flat float64 buffer, so
-each step is one RMSProp update and one float32 snap of the whole buffer.
+training every weight and bias is a view into one flat float64 buffer and
+every gradient a view into a second one, so each step writes the gradients
+in place and runs one in-place RMSProp update and float32 snap of the
+whole buffer, with no parameter-sized allocation.
 The wire format stores float32, so save -> restore reproduces a model
 bit-exactly while gradient checks still run at float64 resolution.
 
@@ -27,6 +29,7 @@ with per-feature scaler mean f64 and std f64; trailing CRC32.
 
 from __future__ import annotations
 
+import math
 import struct
 import time
 import zlib
@@ -55,6 +58,10 @@ class Activation(Enum):
 class ModelKind(Enum):
     CLASSIFIER = 0
     REGRESSOR = 1
+
+
+# For the per-step code: an Enum member lookup costs about 0.2 µs on Python 3.11.
+_LINEAR, _RELU, _LEAKY_RELU = Activation.LINEAR, Activation.RELU, Activation.LEAKY_RELU
 
 
 def _f32(x):
@@ -141,19 +148,21 @@ def parameter_counts(model: Mlp) -> list[int]:
 
 def _softmax(v: np.ndarray) -> np.ndarray:
     """Shift-invariant softmax over the last axis."""
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(v - np.maximum.reduce(v, axis=-1, keepdims=True))
+    return e / np.add.reduce(e, axis=-1, keepdims=True)
 
 
-def _activate(spec: LayerSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation is Activation.LINEAR:
-        return z
-    if spec.activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    if spec.activation is Activation.LEAKY_RELU:
-        return np.where(z >= 0, z, spec.alpha * z)
-    return _softmax(z)
+def _activate(spec: LayerSpec, z: np.ndarray):
+    """The activation of ``z`` and, for LeakyReLU only, its slope ``da/dz``
+    for the backward pass (``z * slope`` is ``where(z >= 0, z, alpha z)``)."""
+    if spec.activation is _LINEAR:
+        return z, None
+    if spec.activation is _RELU:
+        return np.maximum(z, 0.0), None
+    if spec.activation is _LEAKY_RELU:
+        slope = np.where(z >= 0, 1.0, spec.alpha)
+        return z * slope, slope
+    return _softmax(z), None
 
 
 def _scale(model: Mlp, x: np.ndarray) -> np.ndarray:
@@ -161,14 +170,14 @@ def _scale(model: Mlp, x: np.ndarray) -> np.ndarray:
 
 
 def _layers(model: Mlp, h: np.ndarray):
-    """Per-layer pre-activations and activations of already-scaled rows ``h``
-    (activation index 0 is ``h`` itself)."""
-    zs, activations = [], [h]
+    """Per-layer activations of already-scaled rows ``h`` (index 0 is ``h``
+    itself) and LeakyReLU slopes (None for the other layers)."""
+    activations, slopes = [h], []
     for spec, w, b in zip(model.layers, model.weights, model.biases):
-        z = activations[-1] @ w.T + b
-        zs.append(z)
-        activations.append(_activate(spec, z))
-    return zs, activations
+        a, slope = _activate(spec, activations[-1] @ w.T + b)
+        activations.append(a)
+        slopes.append(slope)
+    return activations, slopes
 
 
 def infer(model: Mlp, x) -> np.ndarray:
@@ -180,8 +189,7 @@ def infer(model: Mlp, x) -> np.ndarray:
     batch = x[None, :] if single else x
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ShapeError(f"expected {model.in_dim} input features, got shape {x.shape}")
-    _, activations = _layers(model, _scale(model, batch))
-    out = activations[-1]
+    out = _layers(model, _scale(model, batch))[0][-1]
     return out[0] if single else out
 
 
@@ -191,34 +199,34 @@ def _loss(kind: ModelKind, y: np.ndarray, y_hat: np.ndarray):
     with predictions clamped at 1e-12 so a confident miss stays finite, and
     mean absolute error for a regressor."""
     if kind is ModelKind.CLASSIFIER:
-        clipped = np.clip(y_hat, 1e-12, None)
-        value = float((-(y * np.log(clipped)).sum(axis=-1)).mean())
-        return value, -(y / clipped) / y.shape[0]
-    return float(np.abs(y - y_hat).mean()), np.sign(y_hat - y) / y.size
+        clipped = np.maximum(y_hat, 1e-12)
+        per_row = np.add.reduce(y * np.log(clipped), axis=-1)
+        return -float(np.add.reduce(per_row)) / y.shape[0], -(y / clipped) / y.shape[0]
+    residual = y_hat - y  # |y_hat - y| is |y - y_hat| bit for bit
+    return float(np.add.reduce(np.abs(residual), axis=None)) / y.size, np.sign(residual) / y.size
 
 
-def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray):
-    """Loss and per-layer gradients on scaled rows ``h``; the caller has
+def _loss_and_grads(model: Mlp, h: np.ndarray, y: np.ndarray, grads) -> float:
+    """Loss on scaled rows ``h``; writes each layer's weight and bias
+    gradients into the ``(dW, db)`` pairs of ``grads``. The caller has
     checked that ``y`` is ``(len(h), out_dim)``."""
-    zs, activations = _layers(model, h)
+    activations, slopes = _layers(model, h)
     value, d_act = _loss(model.kind, y, activations[-1])
-
-    grads = []
     for i in range(len(model.layers) - 1, -1, -1):
-        spec, z, a = model.layers[i], zs[i], activations[i + 1]
-        if spec.activation is Activation.LINEAR:
+        activation, a = model.layers[i].activation, activations[i + 1]
+        if activation is _LINEAR:
             dz = d_act
-        elif spec.activation is Activation.RELU:
-            dz = d_act * (z > 0)
-        elif spec.activation is Activation.LEAKY_RELU:
-            dz = d_act * np.where(z >= 0, 1.0, spec.alpha)
+        elif activation is _RELU:
+            dz = d_act * (a > 0)  # a > 0 exactly where z > 0
+        elif activation is _LEAKY_RELU:
+            dz = d_act * slopes[i]
         else:  # softmax Jacobian
-            dz = a * (d_act - (d_act * a).sum(axis=1, keepdims=True))
-        grads.append((dz.T @ activations[i], dz.sum(axis=0)))
+            dz = a * (d_act - np.add.reduce(d_act * a, axis=1, keepdims=True))
+        np.matmul(dz.T, activations[i], out=grads[i][0])
+        np.add.reduce(dz, axis=0, out=grads[i][1])
         if i:
             d_act = dz @ model.weights[i]
-    grads.reverse()
-    return value, grads
+    return value
 
 
 @dataclass(frozen=True)
@@ -244,11 +252,21 @@ class TrainHistory:
     epoch_s: list[float] = field(default_factory=list)  # wall seconds per epoch
 
 
-def rmsprop_step(p: np.ndarray, g: np.ndarray, v: np.ndarray, learning_rate: float):
-    """One RMSProp update: v <- rho v + (1 - rho) g^2, p <- p - lr g / (sqrt(v) + eps).
-    Returns the new ``(p, v)``."""
-    v = RMSPROP_RHO * v + (1.0 - RMSPROP_RHO) * g * g
-    return p - learning_rate * g / (np.sqrt(v) + RMSPROP_EPSILON), v
+def _rmsprop_step(p, g, v, learning_rate: float, scratch, snapped) -> None:
+    """One RMSProp update in place, then the float32 snap of ``p``:
+    v <- rho v + ((1 - rho) g) g, p <- p - (lr g) / (sqrt(v) + eps).
+    ``g`` is overwritten; ``scratch`` (float64) and ``snapped`` (float32)
+    are work buffers the size of ``p``."""
+    np.multiply(g, 1.0 - RMSPROP_RHO, out=scratch)
+    scratch *= g
+    v *= RMSPROP_RHO
+    v += scratch
+    np.sqrt(v, out=scratch)
+    scratch += RMSPROP_EPSILON
+    g *= learning_rate
+    g /= scratch
+    np.subtract(p, g, out=snapped)
+    p[:] = snapped
 
 
 def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
@@ -285,12 +303,15 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
 
     arrays = [arr for pair in zip(model.weights, model.biases) for arr in pair]
     flat = np.concatenate([arr.ravel() for arr in arrays])
+    grad, scratch = np.empty_like(flat), np.empty_like(flat)
+    snapped = np.empty(flat.size, dtype=np.float32)
     bounds = np.cumsum([0] + [arr.size for arr in arrays])
-    views = [flat[lo:hi].reshape(arr.shape)
-             for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)]
+    views, grad_views = ([buf[lo:hi].reshape(arr.shape)
+                          for lo, hi, arr in zip(bounds[:-1], bounds[1:], arrays)]
+                         for buf in (flat, grad))
     model.weights[:] = views[0::2]
     model.biases[:] = views[1::2]
-    grad = np.empty_like(flat)
+    grads = list(zip(grad_views[0::2], grad_views[1::2]))
     state = np.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     n = x_tr.shape[0]
@@ -299,16 +320,15 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         order = rng.permutation(n)
+        h_ep, y_ep = h_tr[order], y_tr[order]
         step_losses = []
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            value, grads = _loss_and_grads(model, h_tr[idx], y_tr[idx])
-            if not np.isfinite(value):
+            stop = start + cfg.batch_size
+            value = _loss_and_grads(model, h_ep[start:stop], y_ep[start:stop], grads)
+            if not math.isfinite(value):
                 raise TrainingDivergedError(epoch)
             step_losses.append(value)
-            np.concatenate([arr.ravel() for pair in grads for arr in pair], out=grad)
-            stepped, state = rmsprop_step(flat, grad, state, cfg.learning_rate)
-            flat[:] = stepped.astype(np.float32)
+            _rmsprop_step(flat, grad, state, cfg.learning_rate, scratch, snapped)
         epoch_train = float(np.mean(step_losses))
         epoch_val = _loss(model.kind, y_va, infer(model, x_va))[0]
         if not (np.isfinite(epoch_train) and np.isfinite(epoch_val)):

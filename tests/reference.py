@@ -14,16 +14,19 @@ production generators synthesize and extract a whole dataset at once and
 must give the same rows, targets and provenance.
 
 ``reference_train`` is the training loop written one array at a time: each
-weight and bias gets its own RMSProp update and float32 snap, and every
-forward pass standardizes its batch. ``tinynn.train`` runs the same
-elementwise arithmetic on one flat buffer, so it must agree bit-for-bit.
+weight and bias gets its own RMSProp update and float32 snap, every forward
+pass standardizes its batch and indexes its rows out of the training set,
+and the activations, losses and RMSProp formula are written out here
+rather than taken from ``tinynn``. ``tinynn.train`` runs the same
+elementwise arithmetic on one flat buffer with in-place updates, so it must
+agree bit-for-bit.
 """
 
 import math
 
 import numpy as np
 
-from valvehealth import models, tinynn
+from valvehealth import models
 from valvehealth.errors import (DegenerateTransientError, ExtractionError,
                                 NoActuationError, ParameterError, TrainingDivergedError)
 from valvehealth.features import ExtractionConfig, extract_all
@@ -181,6 +184,19 @@ def reference_rul_dataset(n_valves, seed, failure_cycle, cycle_step, noise_std):
     return np.asarray(xs), np.asarray(ys), prov, resampled
 
 
+def reference_activate(spec, z):
+    """The layer's activation of pre-activations ``z``."""
+    if spec.activation is Activation.LINEAR:
+        return z
+    if spec.activation is Activation.RELU:
+        return np.maximum(z, 0.0)
+    if spec.activation is Activation.LEAKY_RELU:
+        return np.where(z >= 0, z, spec.alpha * z)
+    shifted = z - z.max(axis=-1, keepdims=True)  # softmax
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def reference_forward(model, x):
     """Scale the batch, then run every layer; index 0 is the scaled input."""
     h = (x - model.scaler_mean) / model.scaler_std
@@ -188,8 +204,20 @@ def reference_forward(model, x):
     for spec, w, b in zip(model.layers, model.weights, model.biases):
         z = activations[-1] @ w.T + b
         zs.append(z)
-        activations.append(tinynn._activate(spec, z))
+        activations.append(reference_activate(spec, z))
     return zs, activations
+
+
+def reference_rmsprop(p, g, v, learning_rate):
+    """v <- rho v + (1 - rho) g^2, p <- p - lr g / (sqrt(v) + eps), with the
+    Keras defaults rho = 0.9 and eps = 1e-7; returns the new ``(p, v)``."""
+    v = 0.9 * v + (1.0 - 0.9) * g * g
+    return p - learning_rate * g / (np.sqrt(v) + 1e-7), v
+
+
+def snap_f32(x):
+    """Round to the float32 grid, keeping float64 storage."""
+    return np.asarray(x, dtype=np.float64).astype(np.float32).astype(np.float64)
 
 
 def reference_loss(model, y, y_hat):
@@ -254,11 +282,11 @@ def reference_train(model, train_set, val_set, cfg):
             step_losses.append(value)
             flat_grads = [arr for pair in grads for arr in pair]
             for j, g in enumerate(flat_grads):
-                params[j], state[j] = tinynn.rmsprop_step(params[j], g, state[j],
-                                                          cfg.learning_rate)
+                params[j], state[j] = reference_rmsprop(params[j], g, state[j],
+                                                        cfg.learning_rate)
             for i in range(len(model.layers)):
-                model.weights[i] = tinynn._f32(params[2 * i])
-                model.biases[i] = tinynn._f32(params[2 * i + 1])
+                model.weights[i] = snap_f32(params[2 * i])
+                model.biases[i] = snap_f32(params[2 * i + 1])
                 params[2 * i] = model.weights[i]
                 params[2 * i + 1] = model.biases[i]
         train_loss.append(float(np.mean(step_losses)))

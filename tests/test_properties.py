@@ -5,13 +5,13 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_synthetic_trace
-from reference import naive_extract
+from reference import naive_detect, naive_extract
 from valvehealth.errors import ExtractionError
-from valvehealth.features import (ExtractionConfig, detect_rising_edges, extract_batch,
-                                  extract_features)
+from valvehealth.features import (ExtractionConfig, detect_batch, detect_rising_edges,
+                                  extract_batch, extract_features)
 from valvehealth.pipeline import DiagnosticEvent, MonitorConfig, run_monitor
 from valvehealth.tinynn import Activation, LayerSpec, ModelKind, new_mlp
 from valvehealth.waveform import codes_to_current, current_to_codes
@@ -95,3 +95,42 @@ def test_batched_rows_equal_one_row_calls(seed, failing, data):
         assert extract_features(samples, z, cfg) == batch.row(i)
         for name, value in want.items():
             assert getattr(batch.row(i), name) == pytest.approx(value, abs=1e-9), name
+
+
+@st.composite
+def pulse_matrices(draw):
+    """A small detector config and a matrix of idle rows with up to four
+    integer-valued pulses each. Whole-mA samples keep every window sum
+    exact, so the cumulative-sum means and the naive means compare equal at
+    the threshold. A row may hold no pulse, and pulses land anywhere,
+    including within ``lower_window`` of the start and ``frame`` of the end."""
+    # a one-sample window cannot be idle and above the threshold at once
+    cfg = ExtractionConfig(window=draw(st.integers(2, 6)),
+                           lower_window=draw(st.integers(1, 20)),
+                           upper_window_start=0, upper_window_end=1,
+                           frame=draw(st.integers(1, 30)),
+                           skip_after_event=draw(st.integers(0, 10)))
+    n = draw(st.integers(0, 120))
+    matrix = np.zeros((draw(st.integers(0, 5)), n))
+    for row in matrix:
+        for _ in range(draw(st.integers(0, 4))):
+            start = draw(st.integers(0, max(n - 1, 0)))
+            width = draw(st.integers(1, 40))
+            row[start:start + width] = draw(st.sampled_from([3.0, 5.0, 6.0, 60.0, 100.0, 250.0]))
+    return cfg, matrix
+
+
+@settings(max_examples=200)  # tiny matrices: 200 cases take well under a second
+@given(case=pulse_matrices())
+@example(case=(ExtractionConfig(), np.zeros((2, 5))))  # n <= window
+# hits that lack lower_window samples of history, frame samples of lookahead,
+# and a clean edge in a row after one whose skip would still cover it
+@example(case=(ExtractionConfig(), 100.0 * (np.arange(260) >= [[20], [240], [60]])))
+def test_detect_batch_rows_equal_one_row_and_naive(case):
+    """Each row of one ``detect_batch`` call finds the edges of its own
+    one-row call and of the naive reference scan."""
+    cfg, matrix = case
+    found = detect_batch(matrix, cfg)
+    assert len(found) == matrix.shape[0]
+    for row, edges in zip(matrix, found):
+        assert edges == detect_rising_edges(row, cfg) == naive_detect(row, cfg)

@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from reference import reference_forward, reference_loss_and_grads, reference_train
+from reference import (reference_forward, reference_loss_and_grads, reference_rmsprop,
+                       reference_train, snap_f32)
 from valvehealth import models
 from valvehealth.errors import (ModelFormatError, ParameterError, ShapeError,
                                 TrainingDivergedError)
 from valvehealth.tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
-                                _activate, _loss, _loss_and_grads, _scale, _softmax,
-                                deserialize, infer, new_mlp, parameter_counts, restore,
-                                rmsprop_step, save, serialize, train)
+                                _activate, _loss, _loss_and_grads, _rmsprop_step, _scale,
+                                _softmax, deserialize, infer, new_mlp, parameter_counts,
+                                restore, save, serialize, train)
 
 CLASSIFIER, REGRESSOR = ModelKind.CLASSIFIER, ModelKind.REGRESSOR
 
@@ -38,6 +39,14 @@ def random_batch(model, seed, size=8):
     else:
         y = rng.normal(0.0, 1.0, (size, model.out_dim))
     return x, y
+
+
+def loss_and_grads(model, x, y):
+    """``_loss_and_grads`` on the scaled rows of ``x``, into NaN-filled
+    gradient arrays so that an element it does not write shows."""
+    grads = [(np.full_like(w, np.nan), np.full_like(b, np.nan))
+             for w, b in zip(model.weights, model.biases)]
+    return _loss_and_grads(model, _scale(model, x), y, grads), grads
 
 
 def _smooth_at(model, x, y, margin=1e-3):
@@ -74,7 +83,7 @@ def finite_difference_check(model, seed, h=1e-5, tol=1e-4, atol=1e-9):
     the one the model's kind picks.
     """
     x, y = random_smooth_batch(model, seed)
-    _, grads = _loss_and_grads(model, _scale(model, x), y)
+    _, grads = loss_and_grads(model, x, y)
     for li in range(len(model.layers)):
         for arr, g in ((model.weights[li], grads[li][0]),
                        (model.biases[li], grads[li][1])):
@@ -96,10 +105,17 @@ def finite_difference_check(model, seed, h=1e-5, tol=1e-4, atol=1e-9):
 class TestActivations:
     def test_leaky_relu_values(self):
         spec = LayerSpec(1, 1, Activation.LEAKY_RELU, alpha=0.01)
-        out = _activate(spec, np.array([1.0, 0.0, -1.0]))
+        out, slope = _activate(spec, np.array([1.0, 0.0, -1.0]))
         assert out[0] == 1.0
         assert out[1] == 0.0
         assert out[2] == pytest.approx(-0.01)
+        assert np.array_equal(slope, [1.0, 1.0, spec.alpha])
+
+    def test_leaky_relu_slope_form_keeps_signed_zero_and_nan(self):
+        spec = LayerSpec(1, 1, Activation.LEAKY_RELU, alpha=0.01)
+        z = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -3.5, 2.25])
+        want = np.where(z >= 0, z, spec.alpha * z)
+        assert _activate(spec, z)[0].tobytes() == want.tobytes()
 
     def test_softmax_uniform(self):
         assert np.allclose(_softmax(np.zeros(4)), [0.25] * 4)
@@ -207,7 +223,7 @@ class TestGradients:
                 [np.zeros(1)], np.zeros(2), np.ones(2), REGRESSOR)
         x = np.array([[1.0, 2.0], [3.0, -1.0]])
         y = np.zeros((2, 1))
-        _, grads = _loss_and_grads(m, _scale(m, x), y)
+        _, grads = loss_and_grads(m, x, y)
         assert np.all(grads[0][0] == 0.0)  # sign(0) = 0 convention
         assert np.all(grads[0][1] == 0.0)
 
@@ -216,7 +232,7 @@ class TestGradients:
                 [np.random.default_rng(0).normal(0, 0.5, (4, 3))],
                 [np.zeros(4)], np.zeros(3), np.ones(3))
         x, y = random_batch(m, seed=2, size=6)
-        _, grads = _loss_and_grads(m, _scale(m, x), y)
+        _, grads = loss_and_grads(m, x, y)
         y_hat = infer(m, x)
         dz = (y_hat - y) / x.shape[0]
         assert np.allclose(grads[0][0], dz.T @ x, atol=1e-9)
@@ -228,25 +244,45 @@ class TestGradients:
             finite_difference_check(small_net(seed=seed, kind=kind), seed)
 
 
+def rmsprop(p, g, v, learning_rate):
+    """``_rmsprop_step`` on copies of the inputs; returns the new ``(p, v)``."""
+    p, g, v = (np.array(a, dtype=np.float64) for a in (p, g, v))
+    _rmsprop_step(p, g, v, learning_rate, np.empty_like(p), np.empty(p.size, np.float32))
+    return p, v
+
+
 class TestRmsprop:
+    """The in-place update and float32 snap that every training step runs."""
+
     def test_zero_gradient_keeps_params(self):
         p = np.array([1.0, -2.0])
-        new_p, _ = rmsprop_step(p, np.zeros(2), np.zeros(2), 1e-3)
+        new_p, _ = rmsprop(p, np.zeros(2), np.zeros(2), 1e-3)
         assert np.array_equal(new_p, p)
 
     def test_single_step_arithmetic(self):
         # rho 0.9 and epsilon 1e-7, the Keras RMSprop defaults
-        new_p, new_v = rmsprop_step(np.array([0.0]), np.array([1.0]), np.array([0.0]), 1e-3)
+        new_p, new_v = rmsprop([0.0], [1.0], [0.0], 1e-3)
         assert new_v[0] == pytest.approx(0.1, abs=1e-15)
-        assert new_p[0] == pytest.approx(-1e-3 / (math.sqrt(0.1) + 1e-7), abs=1e-12)
+        assert new_p[0] == float(np.float32(-1e-3 / (math.sqrt(1.0 - 0.9) + 1e-7)))
 
     def test_repeated_steps_shrink(self):
         p, v = np.array([0.0]), np.array([0.0])
-        p1, v = rmsprop_step(p, np.array([1.0]), v, 1e-3)
-        p2, v = rmsprop_step(p1, np.array([1.0]), v, 1e-3)
+        p1, v = rmsprop(p, [1.0], v, 1e-3)
+        p2, v = rmsprop(p1, [1.0], v, 1e-3)
         first = abs(p1[0] - 0.0)
         second = abs(p2[0] - p1[0])
         assert second < first  # accumulated v grows
+
+    def test_matches_reference_formula_bit_for_bit(self):
+        # the float32 snap of p can hide a reordered formula from training,
+        # so the unsnapped state v is compared on its own as well
+        rng = np.random.default_rng(0)
+        p = snap_f32(rng.normal(0.0, 1.0, 500))
+        g, v = rng.normal(0.0, 1e-2, 500), rng.uniform(0.0, 1e-3, 500)
+        new_p, new_v = rmsprop(p, g, v, 1e-3)
+        want_p, want_v = reference_rmsprop(p, g, v, 1e-3)
+        assert new_v.tobytes() == want_v.tobytes()
+        assert new_p.tobytes() == snap_f32(want_p).tobytes()
 
 
 class TestTrain:
@@ -345,6 +381,14 @@ class TestTrain:
             assert np.array_equal(w, w.astype(np.float32).astype(np.float64))
 
 
+def fault_model(seed, kind):
+    return models.build_fault_model(seed)
+
+
+def rul_model(seed, kind):
+    return models.build_rul_model(seed)
+
+
 ORACLE_CASES = {
     # name: (model builder, model kind, rows, batch_size, train calls)
     "cce": (small_net, CLASSIFIER, 30, 10, 1),
@@ -353,8 +397,15 @@ ORACLE_CASES = {
     "batch_size_1": (small_net, REGRESSOR, 12, 1, 1),
     "batch_larger_than_n": (small_net, CLASSIFIER, 7, 10, 1),
     "trained_twice": (small_net, CLASSIFIER, 23, 5, 2),
-    "fault_model": (lambda seed, kind: models.build_fault_model(seed), CLASSIFIER, 40, 10, 1),
-    "rul_model": (lambda seed, kind: models.build_rul_model(seed), REGRESSOR, 40, 10, 1),
+    "fault_model": (fault_model, CLASSIFIER, 40, 10, 1),
+    "rul_model": (rul_model, REGRESSOR, 40, 10, 1),
+    # the production shapes with a ragged last batch, and with one batch
+    # smaller than batch_size, each trained twice: the retrain starts from
+    # weights that are views of the previous call's flat buffer
+    "fault_model_ragged": (fault_model, CLASSIFIER, 37, 10, 2),
+    "rul_model_ragged": (rul_model, REGRESSOR, 37, 10, 2),
+    "fault_model_one_short_batch": (fault_model, CLASSIFIER, 7, 10, 2),
+    "rul_model_one_short_batch": (rul_model, REGRESSOR, 7, 10, 2),
 }
 
 
@@ -387,8 +438,9 @@ class TestTrainMatchesReference:
         m.scaler_mean = np.array([0.3, -1.0])
         m.scaler_std = np.array([1.7, 0.6])
         x, y = random_batch(m, seed=6, size=rows)
-        _, grads = _loss_and_grads(m, _scale(m, x), y)
-        _, expected = reference_loss_and_grads(m, x, y)
+        value, grads = loss_and_grads(m, x, y)
+        want, expected = reference_loss_and_grads(m, x, y)
+        assert value == want
         for (dw, db), (ew, eb) in zip(grads, expected):
             assert np.array_equal(dw, ew) and np.array_equal(db, eb)
 
