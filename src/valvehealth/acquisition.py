@@ -40,15 +40,15 @@ from .errors import ParameterError
 
 def buffer_fill_duration(k: int, fs: float) -> float:
     """Seconds needed to fill one bank of ``k`` samples at ``fs`` Hz."""
-    if k <= 0 or fs <= 0:
-        raise ParameterError("k and fs must be > 0")
+    if k <= 0 or not 0 < fs < np.inf:
+        raise ParameterError("k must be > 0 and fs finite and > 0")
     return k / fs
 
 
 def max_cycles(k: int, f_op: float, fs: float) -> float:
     """Actuation cycles at ``f_op`` Hz that fit in one bank (may be fractional)."""
-    if k <= 0 or f_op <= 0 or fs <= 0:
-        raise ParameterError("k, f_op and fs must be > 0")
+    if k <= 0 or not (0 < f_op < np.inf and 0 < fs < np.inf):
+        raise ParameterError("k must be > 0 and f_op and fs finite and > 0")
     return k * f_op / fs
 
 

@@ -16,8 +16,8 @@ window is still at idle level, the window start becomes the edge's
     interval count
 
 Only (di_dt, auc) feed the downstream models; the rest are diagnostics.
-All window lengths are sample counts at 1 kHz (1 sample = 1 ms); use
-``ExtractionConfig.for_sample_rate`` for other rates.
+Window lengths are sample counts; no rate is assumed by default. The
+constructor ``ExtractionConfig.for_sample_rate`` sizes them for a rate.
 
 Detection and extraction are batched: ``detect_batch`` scans every row of a
 trace matrix with one cumulative sum and one hit search, and
@@ -41,15 +41,15 @@ from .waveform import TransientTrace
 
 @dataclass(frozen=True)
 class ExtractionConfig:
-    window: int = 5                 # moving-average length, samples
-    edge_threshold: float = 40.0    # mA, ~15% of the maximum settling current
-    idle_max: float = 5.0           # mA, ceiling for the sample entering the window
-    lower_window: int = 50          # samples averaged before the edge
-    upper_window_start: int = 30    # upper average start, samples after the edge
-    upper_window_end: int = 50      # upper average end (exclusive)
-    frame: int = 100                # region of interest, samples after the edge
-    skip_after_event: int = 30      # scan advance after a detection
-    ms_per_sample: float = 1.0
+    window: int                 # moving-average length, samples
+    edge_threshold: float       # mA, ~15% of the maximum settling current
+    idle_max: float             # mA, ceiling for the sample entering the window
+    lower_window: int           # samples averaged before the edge
+    upper_window_start: int     # upper average start, samples after the edge
+    upper_window_end: int       # upper average end (exclusive)
+    frame: int                  # region of interest, samples after the edge
+    skip_after_event: int       # scan advance after a detection
+    ms_per_sample: float
 
     def __post_init__(self):
         if self.window < 1 or self.lower_window < 1:
@@ -65,17 +65,17 @@ class ExtractionConfig:
 
     @classmethod
     def for_sample_rate(cls, sample_rate: float) -> "ExtractionConfig":
-        """Scale the 1 kHz sample-count defaults to another rate."""
-        if sample_rate <= 0:
-            raise ParameterError("sample_rate must be > 0")
+        """The windows and thresholds for a trace sampled at ``sample_rate`` Hz."""
+        if not 0 < sample_rate < np.inf:
+            raise ParameterError(f"sample_rate must be finite and > 0, got {sample_rate!r}")
 
-        def scaled(n):
-            return max(round(n * sample_rate / 1000.0), 1)
+        def samples(ms):
+            return max(round(ms * sample_rate / 1000.0), 1)
 
-        return cls(window=scaled(5), lower_window=scaled(50),
-                   upper_window_start=scaled(30), upper_window_end=scaled(50),
-                   frame=scaled(100), skip_after_event=scaled(30),
-                   ms_per_sample=1000.0 / sample_rate)
+        return cls(window=samples(5), edge_threshold=40.0, idle_max=5.0,
+                   lower_window=samples(50), upper_window_start=samples(30),
+                   upper_window_end=samples(50), frame=samples(100),
+                   skip_after_event=samples(30), ms_per_sample=1000.0 / sample_rate)
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def detect_batch(matrix, cfg: ExtractionConfig) -> list[list[int]]:
     return edges
 
 
-def detect_rising_edges(samples, cfg: ExtractionConfig = ExtractionConfig()) -> list[int]:
+def detect_rising_edges(samples, cfg: ExtractionConfig) -> list[int]:
     """One-row form of ``detect_batch``: the edges of one trace."""
     return detect_batch(np.asarray(samples, dtype=np.float64).reshape(1, -1), cfg)[0]
 
@@ -224,8 +224,7 @@ def extract_batch(samples, zero_indices, cfg: ExtractionConfig) -> FeatureBatch:
                         tl=tl, tu=tu, di_dt=di_dt, auc=auc, error=error)
 
 
-def extract_features(samples, zero_index: int,
-                     cfg: ExtractionConfig = ExtractionConfig()) -> TransientFeatures:
+def extract_features(samples, zero_index: int, cfg: ExtractionConfig) -> TransientFeatures:
     """One-row form of ``extract_batch``.
 
     Raises NoActuationError when the frame never rises above the 10% level

@@ -13,6 +13,7 @@ through the dataset CSV format (``di_dt,auc,target``) without code changes.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,6 +38,8 @@ DEFAULT_FAULT_COUNTS = (600, 200, 200, 400)
 
 _SYNTH_RETRIES = 10  # seeds tried per actuation before synthesis gives up
 _SYNTH_CHUNK = 64    # rows per trace matrix; keeps the batch's temporaries under 1 MB
+_SYNTH_FS = 1000.0   # Hz, the sample rate of every synthesized dataset row
+_RUL_CYCLE_STEP = 5  # operations between two rows of a run-to-failure trajectory
 
 
 def one_hot(labels: np.ndarray) -> np.ndarray:
@@ -84,7 +87,7 @@ class EvalReport:
     mae_cycles: float | None = None
 
 
-def build_fault_model(seed: int = 0) -> Mlp:
+def build_fault_model(seed: int) -> Mlp:
     """4-class fault classifier: 2 -> 36 -> 24 -> 12 -> 4, LeakyReLU/softmax."""
     specs = [LayerSpec(2, 36, Activation.LEAKY_RELU),
              LayerSpec(36, 24, Activation.LEAKY_RELU),
@@ -93,7 +96,7 @@ def build_fault_model(seed: int = 0) -> Mlp:
     return new_mlp(specs, seed=seed, kind=ModelKind.CLASSIFIER)
 
 
-def build_rul_model(seed: int = 0) -> Mlp:
+def build_rul_model(seed: int) -> Mlp:
     """Remaining-life regressor: 2 -> 64 -> 16 -> 4 -> 1, ReLU/linear."""
     specs = [LayerSpec(2, 64, Activation.RELU),
              LayerSpec(64, 16, Activation.RELU),
@@ -102,7 +105,7 @@ def build_rul_model(seed: int = 0) -> Mlp:
     return new_mlp(specs, seed=seed, kind=ModelKind.REGRESSOR)
 
 
-def split_dataset(ds: Dataset, seed: int = 0):
+def split_dataset(ds: Dataset, seed: int):
     """Deterministic 70/20/10 (train, val, test) split; stratified by class
     for classification so the small test split keeps every class."""
     rng = np.random.default_rng(seed)
@@ -148,14 +151,14 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
     ``(x, used_seeds)``.
     """
     transients = [effective_transient(*c) for c in conditions]
-    cfg = ExtractionConfig()  # synth_batch samples at 1 kHz
+    cfg = ExtractionConfig.for_sample_rate(_SYNTH_FS)
     x = np.empty((len(transients), 2))
     used = list(seeds)
     for start in range(0, len(transients), _SYNTH_CHUNK):
         todo = np.arange(start, min(start + _SYNTH_CHUNK, len(transients)))
         for attempt in range(_SYNTH_RETRIES):
             traces = synth_batch([transients[i] for i in todo],
-                                 [seeds[i] + attempt for i in todo], noise_std)
+                                 [seeds[i] + attempt for i in todo], noise_std, _SYNTH_FS)
             rows, flat = [], []
             for r, edges in enumerate(detect_batch(traces, cfg)):
                 rows += [r] * len(edges)
@@ -214,25 +217,25 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
 
 
 def gen_rul_dataset(n_valves: int = 4, seed: int = 0, failure_cycle: int = 1500,
-                    cycle_step: int = 5, noise_std: float = 0.5) -> Dataset:
-    """Run-to-failure trajectories: one row per ``cycle_step`` operations.
+                    noise_std: float = 0.5) -> Dataset:
+    """Run-to-failure trajectories: one row per 5 operations.
 
     Targets are the remaining cycles (failure_cycle - cycle), so they fall
-    from ``failure_cycle`` to ``cycle_step`` within each valve. Valves get a
-    small parameter jitter so trajectories differ without swamping the
+    from ``failure_cycle`` to 5 within each valve. Valves get a small
+    parameter jitter so trajectories differ without swamping the
     degradation signal.
     """
     if n_valves < 1:
         raise ParameterError("n_valves must be >= 1")
-    if failure_cycle < 1 or cycle_step < 1 or cycle_step > failure_cycle:
-        raise ParameterError("need failure_cycle >= cycle_step >= 1")
+    if failure_cycle < _RUL_CYCLE_STEP:
+        raise ParameterError(f"failure_cycle must be >= {_RUL_CYCLE_STEP}")
     base = ValveParams()
     rng = np.random.default_rng(seed)
 
     conditions, seeds, ys, labels = [], [], [], []
     for valve_idx in range(n_valves):
         valve = _jittered(rng, base, 0.02)
-        for cycle in range(0, failure_cycle, cycle_step):
+        for cycle in range(0, failure_cycle, _RUL_CYCLE_STEP):
             deg = DegradationState(cycle=cycle, failure_cycle=failure_cycle)
             conditions.append((valve, FaultCondition.good(), deg))
             seeds.append(int(rng.integers(2 ** 31)))
@@ -322,9 +325,12 @@ def read_dataset_csv(path) -> Dataset:
             if len(row) != 3:
                 raise CsvFormatError(f"expected 3 columns, got {len(row)}", line=line_no)
             try:
-                xs.append((float(row[0]), float(row[1])))
+                x = (float(row[0]), float(row[1]))
             except ValueError:
                 raise CsvFormatError(f"non-numeric features {row!r}", line=line_no) from None
+            if not (math.isfinite(x[0]) and math.isfinite(x[1])):
+                raise CsvFormatError(f"non-finite features {row!r}", line=line_no)
+            xs.append(x)
             targets.append((row[2].strip(), line_no))
     if not xs:
         raise CsvFormatError("dataset has no rows", line=2)

@@ -47,19 +47,20 @@ from .waveform import (AdcConfig, FaultKind, ValveParams, codes_to_current,
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    k: int = 10000
-    fs: float = 1000.0
-    f_op: float = 0.5
+    k: int
+    fs: float
+    f_op: float
     rul_alarm_threshold: float = 100.0   # cycles
     fault_alarm_threshold: float = 0.5   # probability of any non-good class
     clock: str = "virtual"
     adc: AdcConfig = field(default_factory=AdcConfig)
 
     def __post_init__(self):
-        if self.k <= 0 or self.fs <= 0 or self.f_op <= 0:
-            raise ParameterError("k, fs and f_op must be > 0")
-        if self.rul_alarm_threshold <= 0 or self.fault_alarm_threshold <= 0:
-            raise ParameterError("alarm thresholds must be > 0")
+        if self.k <= 0:
+            raise ParameterError("k must be > 0")
+        rates = (self.fs, self.f_op, self.rul_alarm_threshold, self.fault_alarm_threshold)
+        if not all(0 < v < np.inf for v in rates):
+            raise ParameterError("fs, f_op and the alarm thresholds must be finite and > 0")
         if self.clock not in ("virtual", "realtime"):
             raise ParameterError(f"clock must be 'virtual' or 'realtime', got {self.clock!r}")
 
@@ -162,10 +163,9 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
         sum(it_pc) / len(it_pc) if it_pc else None))
 
 
-def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig | None = None) -> str:
-    """One JSON line per event; virtual-clock latencies are step counts."""
-    if excfg is None:
-        excfg = ExtractionConfig.for_sample_rate(cfg.fs)
+def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig) -> str:
+    """One JSON line per event; virtual-clock latencies are step counts.
+    ``excfg`` is ``ExtractionConfig.for_sample_rate(cfg.fs)``."""
     if isinstance(event, DiagnosticEvent):
         return json.dumps({"type": "diagnostic", "buffer_seq": event.buffer_seq,
                            "zero_index": event.zero_index, "reason": event.reason})
@@ -228,6 +228,8 @@ def scenario_source(schedule, f_op: float = 0.5, fs: float = 1000.0,
     if not schedule:
         raise ParameterError("schedule needs at least one actuation")
     params = params or ValveParams()
+    if not (0 < fs < np.inf and 0 < f_op < np.inf and fs / f_op >= 2):
+        raise ParameterError(f"a period needs >= 2 samples and finite rates: fs={fs}, f_op={f_op}")
     period = round(fs / f_op)
     on = period // 2
     lead = round(60 * fs / 1000.0)

@@ -93,7 +93,7 @@ class Mlp:
     biases: list[np.ndarray]    # per layer, shape (out_dim,)
     scaler_mean: np.ndarray
     scaler_std: np.ndarray
-    kind: ModelKind = ModelKind.CLASSIFIER
+    kind: ModelKind
 
     def __post_init__(self):
         if not self.layers:
@@ -128,8 +128,7 @@ class Mlp:
         return self.layers[-1].out_dim
 
 
-def new_mlp(specs: list[LayerSpec], seed: int = 0,
-            kind: ModelKind = ModelKind.CLASSIFIER) -> Mlp:
+def new_mlp(specs: list[LayerSpec], seed: int, kind: ModelKind) -> Mlp:
     """Build a model with uniform +-sqrt(6/(in+out)) weights and zero biases."""
     rng = np.random.default_rng(seed)
     weights, biases = [], []

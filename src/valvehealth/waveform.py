@@ -41,6 +41,9 @@ PRESSURE_PEAK_SLOPE_MA = 2.0    # settling-current rise per bar above reference
 REFERENCE_TEMP_C = 26.0
 REFERENCE_PRESSURE_BAR = 1.0
 
+_LEAD_MS = 60.0        # idle lead of a synthesized row: room for the 50 ms pre-edge average
+_TRANSIENT_MS = 105.0  # the transient after it: room for the 100 ms region of interest
+
 
 def _require_finite(name, value):
     if not math.isfinite(value):
@@ -170,11 +173,6 @@ class AdcConfig:
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
-    @property
-    def lsb_ma(self) -> float:
-        """Current step of one ADC code, in mA."""
-        return self.full_scale / self.max_code / self.gain * 1000.0
-
 
 @dataclass(frozen=True)
 class TransientTrace:
@@ -190,8 +188,8 @@ class TransientTrace:
             raise ParameterError("samples must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
             raise ParameterError("samples must be finite")
-        if self.sample_rate <= 0:
-            raise ParameterError("sample_rate must be > 0")
+        if not 0 < self.sample_rate < math.inf:
+            raise ParameterError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
 
     @property
     def times_ms(self) -> np.ndarray:
@@ -302,32 +300,25 @@ def transient_current(p: ValveParams, fault: FaultCondition, deg: DegradationSta
 
 
 def synth_batch(transients: list[EffectiveTransient], seeds: list[int], noise_std: float,
-                pre_ms: float = 60.0, post_ms: float = 105.0,
-                fs: float = 1000.0) -> np.ndarray:
+                fs: float) -> np.ndarray:
     """Synthesize one actuation per transient as seen through the sensing
     chain, as one ``(len(transients), samples)`` matrix in mA.
 
-    Each row holds ``pre_ms`` of idle baseline followed by ``post_ms`` of
-    transient, sampled at ``fs`` Hz. Gaussian noise (``noise_std`` mA) is
-    added to the analog value before quantization through the default
-    ``AdcConfig``; row i draws it from ``default_rng(seeds[i])``, so a row
-    does not depend on the others.
-
-    ``pre_ms`` must leave room for the 50 ms pre-actuation average and
-    ``post_ms`` for the 100 ms region of interest.
+    Each row holds a fixed 60 ms of idle baseline followed by 105 ms of
+    transient, sampled at ``fs`` Hz: room for the 50 ms pre-actuation
+    average and the 100 ms region of interest. Gaussian noise
+    (``noise_std`` mA) is added to the analog value before quantization
+    through the default ``AdcConfig``; row i draws it from
+    ``default_rng(seeds[i])``, so a row does not depend on the others.
     """
     _require_finite("noise_std", noise_std)
     if noise_std < 0:
         raise ParameterError("noise_std must be >= 0")
-    if pre_ms < 60.0:
-        raise ParameterError("pre_ms must be >= 60 ms")
-    if post_ms < 105.0:
-        raise ParameterError("post_ms must be >= 105 ms")
-    if fs <= 0:
-        raise ParameterError("fs must be > 0")
+    if not 0 < fs < math.inf:
+        raise ParameterError(f"fs must be finite and > 0, got {fs!r}")
 
-    n_pre = round(pre_ms * fs / 1000.0)
-    n_post = round(post_ms * fs / 1000.0)
+    n_pre = round(_LEAD_MS * fs / 1000.0)
+    n_post = round(_TRANSIENT_MS * fs / 1000.0)
     t = (np.arange(n_pre + n_post) - n_pre) * (1000.0 / fs)
     columns = np.array([_constants(e) for e in transients]).T[:, :, None]
     analog = _drive_current(*columns, t)
@@ -339,11 +330,9 @@ def synth_batch(transients: list[EffectiveTransient], seeds: list[int], noise_st
 
 def synth_transient(p: ValveParams, fault: FaultCondition, deg: DegradationState,
                     noise_std: float = 0.0, seed: int = 0,
-                    pre_ms: float = 60.0, post_ms: float = 105.0,
                     fs: float = 1000.0) -> TransientTrace:
-    """One-row form of ``synth_batch``: the actuation starts ``pre_ms`` in."""
-    samples = synth_batch([effective_transient(p, fault, deg)], [seed], noise_std,
-                          pre_ms, post_ms, fs)
+    """One-row form of ``synth_batch``: a fixed 60 ms lead, then 105 ms of transient."""
+    samples = synth_batch([effective_transient(p, fault, deg)], [seed], noise_std, fs)
     return TransientTrace(samples[0], fs)
 
 
@@ -369,10 +358,13 @@ def read_trace_csv(path) -> TransientTrace:
             if len(row) != 2:
                 raise CsvFormatError(f"expected 2 columns, got {len(row)}", line=line_no)
             try:
-                times.append(float(row[0]))
-                currents.append(float(row[1]))
+                t, ma = float(row[0]), float(row[1])
             except ValueError:
                 raise CsvFormatError(f"non-numeric value {row!r}", line=line_no) from None
+            if not (math.isfinite(t) and math.isfinite(ma)):
+                raise CsvFormatError(f"non-finite value {row!r}", line=line_no)
+            times.append(t)
+            currents.append(ma)
     if len(times) < 2:
         raise CsvFormatError("trace needs at least 2 rows", line=len(times) + 1)
     dt = times[1] - times[0]

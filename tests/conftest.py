@@ -87,8 +87,8 @@ def random_synthetic_trace(seed: int) -> np.ndarray:
     pieces = []
     for i in range(int(rng.integers(1, 4))):
         tr = synth_transient(params, fault, deg, noise_std=noise,
-                             seed=int(rng.integers(2 ** 31)),
-                             pre_ms=rng.uniform(60.0, 120.0),
-                             post_ms=rng.uniform(105.0, 160.0))
-        pieces.append(tr.samples)
+                             seed=int(rng.integers(2 ** 31)))
+        # a random extra 0-60 ms of lead and 0-55 ms of tail, held at the end values
+        pad = (int(rng.integers(0, 61)), int(rng.integers(0, 56)))
+        pieces.append(np.pad(tr.samples, pad, mode="edge"))
     return np.concatenate(pieces)

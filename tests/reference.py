@@ -48,6 +48,11 @@ def raw_to_current(code: int, cfg: AdcConfig = AdcConfig()) -> float:
     return code / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
 
 
+def lsb_ma(cfg: AdcConfig = AdcConfig()) -> float:
+    """Current step of one ADC code, in mA."""
+    return cfg.full_scale / cfg.max_code / cfg.gain * 1000.0
+
+
 def naive_mean(samples, start, stop):
     total = 0.0
     for i in range(start, stop):

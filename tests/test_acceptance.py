@@ -56,7 +56,7 @@ def test_criterion_3_architecture_conformance():
 
 
 def test_criterion_4_feature_oracle_equivalence():
-    cfg = ExtractionConfig()
+    cfg = ExtractionConfig.for_sample_rate(1000.0)
     n_traces = 1000
     for seed in range(n_traces):
         samples = random_synthetic_trace(seed)
@@ -79,7 +79,7 @@ def test_criterion_5_hand_computed_ramp():
     for j in range(51):
         sig[100 + j] = 5.0 * j
     sig[151:] = 250.0
-    ft = extract_features(sig, 100)
+    ft = extract_features(sig, 100, ExtractionConfig.for_sample_rate(1000.0))
     assert ft.auc == 75.0
     assert ft.di_dt * (ft.tu - ft.tl) == pytest.approx(ft.ecv90 - ft.ecv10, abs=1e-9)
     ok(5, f"ramp auc = {ft.auc} exactly; di_dt * (tu - tl) == ecv90 - ecv10 to 1e-9")

@@ -286,3 +286,29 @@ class TestTiming:
     def test_bad_value_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "timing", "--k", "0", "--fop", "1")
         assert code == 1
+
+
+class TestBadNumbers:
+    """A non-finite number in a file, or rates that leave no room for an
+    actuation, stop the command with exit 1 and an ``error:`` line: no
+    traceback, no NaN in the JSON and no trace without an actuation."""
+
+    @pytest.mark.parametrize("argv, line", [
+        (["extract", "--in", "{trace}", "--out", "{out}"], "line 2"),
+        (["simulate", "--fs", "nan", "--out", "{out}"], None),
+        (["timing", "--k", "100", "--fop", "nan"], None),
+        (["simulate", "--cycles", "3", "--fop", "2000", "--out", "{out}"], None),
+        (["train", "--task", "fault", "--data", "{dataset}", "--out", "{out}"], "line 3"),
+    ], ids=["extract-nan-time", "simulate-nan-fs", "timing-nan-fop",
+            "simulate-fop-above-fs", "train-nan-feature"])
+    def test_rejected_with_error_line(self, capsys, tmp_path, argv, line):
+        paths = {"trace": tmp_path / "trace.csv", "dataset": tmp_path / "data.csv",
+                 "out": tmp_path / "out"}
+        paths["trace"].write_text("t_ms,current_mA\nnan,0.0\n1.0,0.0\n2.0,0.0\n")
+        paths["dataset"].write_text("di_dt,auc,target\n1.0,2.0,good\nnan,2.0,good\n")
+        code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert line is None or line in err
+        assert not paths["out"].exists()

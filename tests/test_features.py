@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,
                                   synth_transient)
 
 FRESH = DegradationState(0, 1)
+CFG = ExtractionConfig.for_sample_rate(1000.0)
 
 
 def make_ramp(z: int = 100, step: float = 5.0, total: int = 250) -> np.ndarray:
@@ -26,34 +28,34 @@ def make_ramp(z: int = 100, step: float = 5.0, total: int = 250) -> np.ndarray:
 
 class TestDetect:
     def test_all_zero_signal(self):
-        assert detect_rising_edges(np.zeros(500)) == []
+        assert detect_rising_edges(np.zeros(500), CFG) == []
 
     def test_instant_step(self):
         # window [96, 101) is the first whose mean reaches the threshold
         # from an idle first sample: (0+0+0+0+250)/5 = 50 >= 40
         sig = np.concatenate([np.zeros(100), np.full(200, 250.0)])
-        assert detect_rising_edges(sig) == [96]
+        assert detect_rising_edges(sig, CFG) == [96]
 
     def test_two_steps_400_apart(self):
         sig = np.concatenate([np.zeros(100), np.full(300, 250.0),
                               np.zeros(100), np.full(300, 250.0)])
-        edges = detect_rising_edges(sig)
+        edges = detect_rising_edges(sig, CFG)
         assert len(edges) == 2
         assert edges[1] - edges[0] == 400
 
     def test_too_short_history_discarded(self):
         sig = np.concatenate([np.zeros(20), np.full(300, 250.0)])
-        assert detect_rising_edges(sig) == []  # z=16 < lower_window
+        assert detect_rising_edges(sig, CFG) == []  # z=16 < lower_window
 
     def test_too_short_lookahead_discarded(self):
         sig = np.concatenate([np.zeros(100), np.full(50, 250.0)])
-        assert detect_rising_edges(sig) == []  # z+frame > len
+        assert detect_rising_edges(sig, CFG) == []  # z+frame > len
 
     def test_short_input(self):
-        assert detect_rising_edges(np.zeros(4)) == []
+        assert detect_rising_edges(np.zeros(4), CFG) == []
 
     def test_matches_naive_on_synthetic_traces(self):
-        cfg = ExtractionConfig()
+        cfg = CFG
         for seed in range(100):
             samples = random_synthetic_trace(seed)
             assert detect_rising_edges(samples, cfg) == naive_detect(samples, cfg), seed
@@ -64,7 +66,7 @@ class TestExtract:
         # literal hand trace of the documented algorithm on the 5 mA/sample
         # ramp: the upper window [z+30, z+50) averages the still-rising
         # segment 150..245
-        ft = extract_features(make_ramp(), 100)
+        ft = extract_features(make_ramp(), 100, CFG)
         assert ft.ecv_lower_avg == 0.0
         assert ft.ecv_upper_avg == pytest.approx(197.5, abs=1e-12)
         assert ft.delta_ecv == pytest.approx(197.5, abs=1e-12)
@@ -76,27 +78,27 @@ class TestExtract:
         assert ft.auc == 75.0  # ((0 + 150)/2 + sum(5m for m in 1..29)) / 30, exact
 
     def test_di_dt_identity(self):
-        ft = extract_features(make_ramp(), 100)
+        ft = extract_features(make_ramp(), 100, CFG)
         assert ft.di_dt * (ft.tu - ft.tl) == pytest.approx(ft.ecv90 - ft.ecv10, abs=1e-9)
 
     def test_instant_step_is_degenerate(self):
         sig = np.concatenate([np.zeros(100), np.full(150, 250.0)])
         with pytest.raises(DegenerateTransientError):
-            extract_features(sig, 100)
+            extract_features(sig, 100, CFG)
 
     def test_flat_signal_is_no_actuation(self):
         with pytest.raises(NoActuationError):
-            extract_features(np.zeros(300), 100)
+            extract_features(np.zeros(300), 100, CFG)
 
     def test_bounds_preconditions(self):
         sig = make_ramp()
         with pytest.raises(ParameterError):
-            extract_features(sig, 30)  # not enough history
+            extract_features(sig, 30, CFG)  # not enough history
         with pytest.raises(ParameterError):
-            extract_features(sig, 200)  # not enough lookahead
+            extract_features(sig, 200, CFG)  # not enough lookahead
 
     def test_matches_naive_on_synthetic_traces(self):
-        cfg = ExtractionConfig()
+        cfg = CFG
         for seed in range(100):
             samples = random_synthetic_trace(1000 + seed)
             expected = naive_extract_all(samples, cfg)
@@ -118,9 +120,9 @@ class TestProperties:
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH,
                              noise_std=1.0, seed=11)
         c = 2.75
-        cfg = ExtractionConfig()
-        shifted_cfg = ExtractionConfig(edge_threshold=cfg.edge_threshold + c,
-                                       idle_max=cfg.idle_max + c)
+        cfg = CFG
+        shifted_cfg = replace(cfg, edge_threshold=cfg.edge_threshold + c,
+                              idle_max=cfg.idle_max + c)
         edges = detect_rising_edges(tr.samples, cfg)
         shifted_edges = detect_rising_edges(tr.samples + c, shifted_cfg)
         assert edges == shifted_edges and edges
@@ -137,11 +139,11 @@ class TestProperties:
                              noise_std=1.0, seed=12)
         n = 83
         padded = np.concatenate([np.zeros(n), tr.samples])
-        edges = detect_rising_edges(tr.samples)
-        shifted = detect_rising_edges(padded)
+        edges = detect_rising_edges(tr.samples, CFG)
+        shifted = detect_rising_edges(padded, CFG)
         assert shifted == [z + n for z in edges] and edges
-        a = extract_features(tr.samples, edges[0])
-        b = extract_features(padded, shifted[0])
+        a = extract_features(tr.samples, edges[0], CFG)
+        b = extract_features(padded, shifted[0], CFG)
         for name in ("ecv_lower_avg", "ecv_upper_avg", "delta_ecv", "ecv10",
                      "ecv90", "tl", "tu", "di_dt", "auc"):
             assert getattr(b, name) == pytest.approx(getattr(a, name), abs=1e-9)
@@ -174,16 +176,24 @@ class TestProperties:
         assert cfg.frame == 200
         assert cfg.skip_after_event == 60
         assert cfg.ms_per_sample == 0.5
-        # identity at the native rate
-        assert ExtractionConfig.for_sample_rate(1000.0) == ExtractionConfig()
+        # the windows at 1 kHz, one sample per millisecond
+        assert ExtractionConfig.for_sample_rate(1000.0) == ExtractionConfig(
+            window=5, edge_threshold=40.0, idle_max=5.0, lower_window=50,
+            upper_window_start=30, upper_window_end=50, frame=100,
+            skip_after_event=30, ms_per_sample=1.0)
 
     def test_config_invariants(self):
         with pytest.raises(ParameterError):
-            ExtractionConfig(window=0)
+            replace(CFG, window=0)
         with pytest.raises(ParameterError):
-            ExtractionConfig(upper_window_start=50, upper_window_end=30)
+            replace(CFG, upper_window_start=50, upper_window_end=30)
         with pytest.raises(ParameterError):
-            ExtractionConfig(frame=40)
+            replace(CFG, frame=40)
+
+    @pytest.mark.parametrize("rate", [0.0, -1000.0, float("nan"), float("inf")])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(ParameterError):
+            ExtractionConfig.for_sample_rate(rate)
 
 
 class TestExtractAll:

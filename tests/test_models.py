@@ -94,11 +94,11 @@ class TestSplit:
     def test_degenerate_fractions_rejected(self, fault_dataset):
         # one row per class: 70/20/10 puts every row in the training part
         with pytest.raises(ParameterError):
-            split_dataset(fault_dataset.subset(np.array([0, 600, 800, 1000])))
+            split_dataset(fault_dataset.subset(np.array([0, 600, 800, 1000])), seed=0)
         rul = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([9.0, 8.0]), "rul",
                       ["a", "b"])
         with pytest.raises(ParameterError):
-            split_dataset(rul)
+            split_dataset(rul, seed=0)
 
 
 class TestGenerators:
@@ -120,7 +120,7 @@ class TestGenerators:
         assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
 
     def test_rul_row_arithmetic(self):
-        ds = gen_rul_dataset(n_valves=1, seed=0, failure_cycle=1500, cycle_step=5)
+        ds = gen_rul_dataset(n_valves=1, seed=0, failure_cycle=1500)
         assert len(ds) == 300
         assert ds.y[0] == 1500.0
         assert ds.y[-1] == 5.0
@@ -138,7 +138,7 @@ class TestGenerators:
         with pytest.raises(ParameterError):
             gen_rul_dataset(n_valves=0)
         with pytest.raises(ParameterError):
-            gen_rul_dataset(n_valves=1, failure_cycle=4, cycle_step=5)
+            gen_rul_dataset(n_valves=1, failure_cycle=4)
 
 
 class TestDatasetOracle:
@@ -195,7 +195,7 @@ class TestEvaluate:
         ds = Dataset(xs, ys, "fault", ["stub"] * 20)
         w = 60.0 * corners  # logit c peaks exactly on corner c
         m = Mlp([LayerSpec(2, 4, Activation.SOFTMAX)], [w], [np.zeros(4)],
-                np.zeros(2), np.ones(2))
+                np.zeros(2), np.ones(2), ModelKind.CLASSIFIER)
         report = evaluate(m, ds)
         assert report.accuracy == 1.0
         for c in range(4):
@@ -204,7 +204,7 @@ class TestEvaluate:
 
     def test_uniform_classifier(self, fault_dataset):
         m = Mlp([LayerSpec(2, 4, Activation.SOFTMAX)], [np.zeros((4, 2))],
-                [np.zeros(4)], np.zeros(2), np.ones(2))
+                [np.zeros(4)], np.zeros(2), np.ones(2), ModelKind.CLASSIFIER)
         report = evaluate(m, fault_dataset)
         # ties argmax to class 0, which is also the largest class share
         assert report.accuracy == pytest.approx(600 / 1400)
@@ -221,7 +221,7 @@ class TestEvaluate:
 
     def test_empty_rejected(self, fault_dataset):
         with pytest.raises(ParameterError):
-            evaluate(build_fault_model(), fault_dataset.subset(np.array([], dtype=int)))
+            evaluate(build_fault_model(seed=0), fault_dataset.subset(np.array([], dtype=int)))
 
 
 class TestTraining:
@@ -276,7 +276,7 @@ class TestDatasetCsv:
         assert np.array_equal(back.y, ds.y)
 
     def test_rul_round_trip(self, tmp_path):
-        ds = gen_rul_dataset(n_valves=1, seed=3, failure_cycle=100, cycle_step=10)
+        ds = gen_rul_dataset(n_valves=1, seed=3, failure_cycle=100)
         path = tmp_path / "rul.csv"
         write_dataset_csv(ds, path)
         back = read_dataset_csv(path)

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import constant_schedule, degradation_schedule
 from valvehealth.errors import ParameterError
+from valvehealth.features import ExtractionConfig
 from valvehealth.pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
                                   event_to_json, report_to_json, run_monitor,
                                   scenario_source)
@@ -187,7 +188,7 @@ class TestJsonEmission:
         events, report = run_monitor(iter(codes), forced_classifier([0, 9, 0, 0]),
                                      forced_regressor(5000.0), cfg)
         (event,) = monitor_events(events)
-        payload = json.loads(event_to_json(event, cfg))
+        payload = json.loads(event_to_json(event, cfg, ExtractionConfig.for_sample_rate(cfg.fs)))
         assert payload["type"] == "event"
         assert payload["predicted_class"] == "spool_stuck"
         assert len(payload["fault_probs"]) == 4
@@ -204,7 +205,7 @@ class TestJsonEmission:
                              fault_probs=np.array([0.7, 0.1, 0.1, 0.1]),
                              predicted_class=FaultKind.GOOD, rul=900.0,
                              alarm=False, it_pc=0.002, timestamp_us=123)
-        payload = json.loads(event_to_json(event, cfg))
+        payload = json.loads(event_to_json(event, cfg, ExtractionConfig.for_sample_rate(cfg.fs)))
         assert payload["it_pc_us"] == 2000
 
     def test_realtime_report_has_producer_lag(self):
@@ -223,7 +224,8 @@ class TestJsonEmission:
     def test_diagnostic_json(self):
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
         payload = json.loads(event_to_json(
-            DiagnosticEvent(1, 42, "NoActuationError"), cfg))
+            DiagnosticEvent(1, 42, "NoActuationError"), cfg,
+            ExtractionConfig.for_sample_rate(cfg.fs)))
         assert payload == {"type": "diagnostic", "buffer_seq": 1,
                            "zero_index": 42, "reason": "NoActuationError"}
 

@@ -5,7 +5,10 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
+from dataclasses import replace
+
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_synthetic_trace
 from reference import naive_detect, naive_extract
@@ -13,9 +16,11 @@ from valvehealth.errors import ExtractionError
 from valvehealth.features import (ExtractionConfig, detect_batch, detect_rising_edges,
                                   extract_batch, extract_features)
 from valvehealth.pipeline import DiagnosticEvent, MonitorConfig, run_monitor
-from valvehealth.tinynn import Activation, LayerSpec, ModelKind, new_mlp
+from valvehealth.tinynn import (Activation, LayerSpec, Mlp, ModelKind, deserialize, new_mlp,
+                                serialize)
 from valvehealth.waveform import codes_to_current, current_to_codes
 
+CFG_1K = ExtractionConfig.for_sample_rate(1000.0)
 FEATURE_FIELDS = ("ecv_lower_avg", "ecv_upper_avg", "delta_ecv", "ecv10", "ecv90",
                   "tl", "tu", "di_dt", "auc")
 
@@ -73,7 +78,7 @@ def test_batched_rows_equal_one_row_calls(seed, failing, data):
     samples = random_synthetic_trace(seed)
     if failing:
         samples = np.concatenate([samples, FAILING_EDGES])
-    cfg = ExtractionConfig()
+    cfg = CFG_1K
     edges = detect_rising_edges(samples, cfg)
     picks = data.draw(st.lists(st.sampled_from(edges), max_size=12)) if edges else []
     batch = extract_batch(samples, picks, cfg)
@@ -105,11 +110,11 @@ def pulse_matrices(draw):
     the threshold. A row may hold no pulse, and pulses land anywhere,
     including within ``lower_window`` of the start and ``frame`` of the end."""
     # a one-sample window cannot be idle and above the threshold at once
-    cfg = ExtractionConfig(window=draw(st.integers(2, 6)),
-                           lower_window=draw(st.integers(1, 20)),
-                           upper_window_start=0, upper_window_end=1,
-                           frame=draw(st.integers(1, 30)),
-                           skip_after_event=draw(st.integers(0, 10)))
+    cfg = replace(CFG_1K, window=draw(st.integers(2, 6)),
+                  lower_window=draw(st.integers(1, 20)),
+                  upper_window_start=0, upper_window_end=1,
+                  frame=draw(st.integers(1, 30)),
+                  skip_after_event=draw(st.integers(0, 10)))
     n = draw(st.integers(0, 120))
     matrix = np.zeros((draw(st.integers(0, 5)), n))
     for row in matrix:
@@ -122,10 +127,10 @@ def pulse_matrices(draw):
 
 @settings(max_examples=200)  # tiny matrices: 200 cases take well under a second
 @given(case=pulse_matrices())
-@example(case=(ExtractionConfig(), np.zeros((2, 5))))  # n <= window
+@example(case=(CFG_1K, np.zeros((2, 5))))  # n <= window
 # hits that lack lower_window samples of history, frame samples of lookahead,
 # and a clean edge in a row after one whose skip would still cover it
-@example(case=(ExtractionConfig(), 100.0 * (np.arange(260) >= [[20], [240], [60]])))
+@example(case=(CFG_1K, 100.0 * (np.arange(260) >= [[20], [240], [60]])))
 def test_detect_batch_rows_equal_one_row_and_naive(case):
     """Each row of one ``detect_batch`` call finds the edges of its own
     one-row call and of the naive reference scan."""
@@ -134,3 +139,44 @@ def test_detect_batch_rows_equal_one_row_and_naive(case):
     assert len(found) == matrix.shape[0]
     for row, edges in zip(matrix, found):
         assert edges == detect_rising_edges(row, cfg) == naive_detect(row, cfg)
+
+
+F32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+
+
+@st.composite
+def wire_models(draw):
+    """Any model the wire format can hold: 1 to 4 layers of width 1 to 8,
+    every activation (softmax only last), a random alpha, either kind,
+    weights and biases on the float32 grid and a random positive scaler."""
+    widths = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5))
+    layers = []
+    for i, (n_in, n_out) in enumerate(zip(widths, widths[1:])):
+        last = i == len(widths) - 2
+        activations = list(Activation) if last else [a for a in Activation
+                                                      if a is not Activation.SOFTMAX]
+        layers.append(LayerSpec(n_in, n_out, draw(st.sampled_from(activations)), draw(F32)))
+    weights = [draw(arrays(np.float32, (s.out_dim, s.in_dim), elements=F32)) for s in layers]
+    biases = [draw(arrays(np.float32, s.out_dim, elements=F32)) for s in layers]
+    scaler = st.floats(allow_nan=False, allow_infinity=False)
+    mean = draw(arrays(np.float64, widths[0], elements=scaler))
+    std = draw(arrays(np.float64, widths[0],
+                      elements=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+    return Mlp(layers, [w.astype(np.float64) for w in weights],
+               [b.astype(np.float64) for b in biases], mean, std,
+               draw(st.sampled_from(ModelKind)))
+
+
+@settings(max_examples=200)  # models of at most 4 x 8 x 8 weights: well under a second
+@given(model=wire_models())
+def test_serialize_deserialize_is_byte_faithful(model):
+    """A model's bytes decode to a model that encodes to the same bytes,
+    and every array comes back bit for bit."""
+    blob = serialize(model)
+    back = deserialize(blob)
+    assert serialize(back) == blob
+    assert back.layers == model.layers and back.kind is model.kind
+    for got, want in zip([*back.weights, *back.biases, back.scaler_mean, back.scaler_std],
+                         [*model.weights, *model.biases, model.scaler_mean, model.scaler_std]):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()

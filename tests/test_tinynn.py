@@ -171,18 +171,18 @@ class TestLosses:
 class TestInfer:
     def test_identity_linear_layer(self):
         m = Mlp([LayerSpec(3, 3, Activation.LINEAR)], [np.eye(3)], [np.zeros(3)],
-                np.zeros(3), np.ones(3))
+                np.zeros(3), np.ones(3), REGRESSOR)
         x = np.array([1.5, -2.0, 0.25])
         assert np.array_equal(infer(m, x), x)
 
     def test_affine_example(self):
         m = Mlp([LayerSpec(2, 1, Activation.LINEAR)], [np.array([[1.0, 2.0]])],
-                [np.array([0.5])], np.zeros(2), np.ones(2))
+                [np.array([0.5])], np.zeros(2), np.ones(2), REGRESSOR)
         assert infer(m, np.array([3.0, 4.0]))[0] == pytest.approx(11.5)
 
     def test_softmax_output_sums_to_one(self):
         m = new_mlp([LayerSpec(2, 8, Activation.LEAKY_RELU),
-                     LayerSpec(8, 4, Activation.SOFTMAX)], seed=3)
+                     LayerSpec(8, 4, Activation.SOFTMAX)], seed=3, kind=CLASSIFIER)
         rng = np.random.default_rng(0)
         for _ in range(20):
             out = infer(m, rng.normal(0, 3, 2))
@@ -230,7 +230,7 @@ class TestGradients:
     def test_softmax_cce_logit_gradient_closed_form(self):
         m = Mlp([LayerSpec(3, 4, Activation.SOFTMAX)],
                 [np.random.default_rng(0).normal(0, 0.5, (4, 3))],
-                [np.zeros(4)], np.zeros(3), np.ones(3))
+                [np.zeros(4)], np.zeros(3), np.ones(3), CLASSIFIER)
         x, y = random_batch(m, seed=2, size=6)
         _, grads = loss_and_grads(m, x, y)
         y_hat = infer(m, x)
@@ -294,7 +294,7 @@ class TestTrain:
         y = np.zeros((40, 2))
         y[np.arange(40), labels] = 1.0
         m = new_mlp([LayerSpec(2, 8, Activation.LEAKY_RELU),
-                     LayerSpec(8, 2, Activation.SOFTMAX)], seed=1)
+                     LayerSpec(8, 2, Activation.SOFTMAX)], seed=1, kind=CLASSIFIER)
         cfg = TrainConfig(epochs=200, batch_size=4, learning_rate=5e-3, seed=1)
         history = train(m, (x, y), (x, y), cfg)
         assert len(history.train_loss) == len(history.val_loss) == 200
@@ -513,7 +513,7 @@ class TestSerialization:
     def test_softmax_only_final_layer(self):
         with pytest.raises(ParameterError):
             new_mlp([LayerSpec(2, 4, Activation.SOFTMAX),
-                     LayerSpec(4, 2, Activation.LINEAR)])
+                     LayerSpec(4, 2, Activation.LINEAR)], seed=0, kind=CLASSIFIER)
 
     def test_parameter_counts(self):
         m = small_net()
