@@ -8,13 +8,15 @@ extracted feature pair for each and, if matplotlib is available, saves an
 overlay plot to transient_zoo.png.
 """
 
-from valvehealth import (DegradationState, FaultCondition, ValveParams,
+import numpy as np
+
+from valvehealth import (DegradationState, FaultCondition, FaultKind, ValveParams,
                          extract_all, synth_transient)
 
 CONDITIONS = [
     ("good", FaultCondition.good()),
-    ("spool_stuck", FaultCondition.spool_stuck()),
-    ("spring_failure", FaultCondition.spring_failure()),
+    ("spool_stuck", FaultCondition(FaultKind.SPOOL_STUCK)),
+    ("spring_failure", FaultCondition(FaultKind.SPRING_FAILURE)),
     ("under_voltage_12V", FaultCondition.under_voltage(12.0)),
 ]
 
@@ -60,7 +62,8 @@ def main():
 
     fig, ax = plt.subplots(figsize=(9, 5))
     for name, trace in traces.items():
-        ax.plot(trace.times_ms, trace.samples, label=name, linewidth=1.2)
+        times_ms = np.arange(trace.samples.size) * 1000.0 / trace.sample_rate
+        ax.plot(times_ms, trace.samples, label=name, linewidth=1.2)
     ax.set_xlabel("time (ms)")
     ax.set_ylabel("drive current (mA)")
     ax.set_title("Solenoid transient signatures by health condition")

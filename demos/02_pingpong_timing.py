@@ -25,7 +25,7 @@ def reconstruct(freq_hz: float) -> None:
         chunks.append(np.array(handle.data, copy=True))
         handle.release()
 
-    report = run_acquisition(iter(src), K, FS, consumer)
+    report = run_acquisition(iter(src), K, FS, consumer, clock="virtual")
     exact = np.array_equal(np.concatenate(chunks), src)
     print(f"  {freq_hz:6.1f} Hz sine: {report.banks_delivered} bank switches, "
           f"exact={exact}, lossless={report.lossless}")
@@ -56,7 +56,8 @@ def main():
         if len(held) > 3:
             held.pop(0).release()
 
-    report = run_acquisition(iter(np.zeros(10 * K, dtype=int)), K, FS, hoarder)
+    report = run_acquisition(iter(np.zeros(10 * K, dtype=int)), K, FS, hoarder,
+                             clock="virtual")
     print(f"  overruns={report.overrun_count}, lossless={report.lossless}")
 
 

@@ -18,8 +18,9 @@ Equivalent CLI session:
 """
 
 from valvehealth import (DegradationState, FaultCondition, MonitorConfig,
-                         MonitorEvent, gen_fault_dataset, gen_rul_dataset,
-                         run_monitor, scenario_source, train_fault, train_rul)
+                         MonitorEvent, ValveParams, gen_fault_dataset, gen_rul_dataset,
+                         max_cycles, run_monitor, scenario_source, train_fault,
+                         train_rul)
 from valvehealth.tinynn import TrainConfig
 
 FAILURE_CYCLE = 200
@@ -39,8 +40,9 @@ def main():
     schedule = [(FaultCondition.good(),
                  DegradationState(cycle=5 * i, failure_cycle=FAILURE_CYCLE))
                 for i in range(N_CYCLES)]
-    codes, triggers = scenario_source(schedule, seed=3)
-    cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5, rul_alarm_threshold=100.0)
+    cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5)
+    codes, triggers = scenario_source(schedule, fs=cfg.fs, f_op=cfg.f_op,
+                                      params=ValveParams(), noise_std=1.0, seed=3)
 
     print(f"monitoring {N_CYCLES} actuations (failure at cycle {FAILURE_CYCLE}, "
           f"K={cfg.k}, fs={cfg.fs:.0f} Hz):")
@@ -64,7 +66,7 @@ def main():
     print(f"first alarm at sample {first.zero_index} "
           f"(cycle {(first.zero_index // 2000) * 5} of {FAILURE_CYCLE})")
     print(f"timing: B_fd {report.buffer_fill_duration:.1f} s, "
-          f"C_max {report.max_cycles:.0f}, "
+          f"C_max {max_cycles(cfg.k, cfg.f_op, cfg.fs):.0f}, "
           f"IT_pb {report.inference_time_per_buffer * 1e3:.2f} ms, "
           f"lossless={report.lossless}")
 

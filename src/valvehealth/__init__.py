@@ -12,8 +12,8 @@ from .acquisition import (BankHandle, PingPongBuffer, TimingReport,
                           buffer_fill_duration, max_cycles, run_acquisition)
 from .features import (ExtractionConfig, TransientFeatures, detect_rising_edges,
                        extract_all, extract_features)
-from .models import (Dataset, EvalReport, build_fault_model, build_rul_model,
-                     evaluate, gen_fault_dataset, gen_rul_dataset,
+from .models import (Dataset, FaultReport, RulReport, build_fault_model,
+                     build_rul_model, evaluate, gen_fault_dataset, gen_rul_dataset,
                      split_dataset, train_fault, train_rul)
 from .pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
                        run_monitor, scenario_source)

@@ -63,9 +63,6 @@ class BankHandle:
         self.seq = seq
         self.data = data
 
-    def __len__(self):
-        return self.data.size
-
     def release(self) -> None:
         """Return the bank to the producer; releasing a stale handle is a no-op."""
         self._buf._release(self)
@@ -181,9 +178,7 @@ class TimingReport:
 
     k: int
     fs: float
-    f_op: float | None
     buffer_fill_duration: float
-    max_cycles: float | None
     inference_time_per_cycle: float | None
     inference_time_per_buffer: float | None
     lossless: bool
@@ -209,8 +204,7 @@ def _blocks(source, buf: PingPongBuffer):
             yield block
 
 
-def run_acquisition(source, k: int, fs: float, consumer,
-                    clock: str = "virtual", f_op: float | None = None) -> TimingReport:
+def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> TimingReport:
     """Drive a sample stream through a ping-pong buffer of two ``k``-sample
     banks that the loop owns.
 
@@ -291,9 +285,8 @@ def run_acquisition(source, k: int, fs: float, consumer,
 
     mean_it_pb = sum(durations) / len(durations) if durations else None
     return TimingReport(
-        k=k, fs=fs, f_op=f_op,
+        k=k, fs=fs,
         buffer_fill_duration=b_fd,
-        max_cycles=max_cycles(k, f_op, fs) if f_op else None,
         inference_time_per_cycle=None,
         inference_time_per_buffer=mean_it_pb,
         lossless=buf.overrun_count == 0,

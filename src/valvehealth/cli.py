@@ -23,9 +23,10 @@ from .features import ExtractionConfig, extract_all, write_features_csv
 from .models import FAULT_CLASSES
 from .pipeline import MonitorConfig
 from .tinynn import ModelKind, TrainConfig
-from .waveform import (DegradationState, FaultCondition, FaultKind, TransientTrace,
-                       ValveParams, codes_to_current, current_to_codes,
-                       read_trace_csv, synth_transient, write_trace_csv)
+from .waveform import (REFERENCE_PRESSURE_BAR, REFERENCE_TEMP_C, DegradationState,
+                       FaultCondition, FaultKind, TransientTrace, ValveParams,
+                       codes_to_current, current_to_codes, read_trace_csv,
+                       synth_transient, write_trace_csv)
 
 _FAULT_CHOICES = [k.value for k in FAULT_CLASSES]
 _SCENARIO_CHOICES = _FAULT_CHOICES + ["degradation"]
@@ -69,15 +70,12 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_gen_dataset(args) -> int:
+    noise = {} if args.noise is None else {"noise_std": args.noise}  # else the task's own
     if args.task == "fault":
-        noise = 1.0 if args.noise is None else args.noise
-        ds = models.gen_fault_dataset(counts=tuple(args.counts), seed=args.seed,
-                                      noise_std=noise)
+        ds = models.gen_fault_dataset(counts=tuple(args.counts), seed=args.seed, **noise)
     else:
-        noise = 0.5 if args.noise is None else args.noise
         ds = models.gen_rul_dataset(n_valves=args.valves, seed=args.seed,
-                                    failure_cycle=args.failure_cycle,
-                                    noise_std=noise)
+                                    failure_cycle=args.failure_cycle, **noise)
     models.write_dataset_csv(ds, args.out)
     print(f"wrote {len(ds)} rows to {args.out}")
     return 0
@@ -103,7 +101,7 @@ def _cmd_train(args) -> int:
         for epoch, (tr, va, secs) in enumerate(rows, start=1):
             w.writerow([epoch, repr(tr), repr(va), repr(secs)])
 
-    if report.accuracy is not None:
+    if args.task == "fault":
         print(f"test accuracy: {report.accuracy:.4f}")
     else:
         print(f"test MAE: {report.mae_cycles:.3f} cycles")
@@ -119,13 +117,12 @@ def _cmd_eval(args) -> int:
         print(f"error: model expects a {expected} dataset, got {ds.kind}", file=sys.stderr)
         return 2
     report = models.evaluate(model, ds)
-    payload = {}
-    if report.accuracy is not None:
-        payload["accuracy"] = report.accuracy
-        payload["confusion"] = [[float(v) for v in row] for row in report.confusion]
-        payload["classes"] = _FAULT_CHOICES
+    if expected == "fault":
+        payload = {"accuracy": report.accuracy,
+                   "confusion": [[float(v) for v in row] for row in report.confusion],
+                   "classes": _FAULT_CHOICES}
     else:
-        payload["mae_cycles"] = report.mae_cycles
+        payload = {"mae_cycles": report.mae_cycles}
     print(json.dumps(payload))
     return 0
 
@@ -157,8 +154,9 @@ def _cmd_monitor(args) -> int:
         else:
             schedule = [(_fault_condition(args.scenario, args.voltage),
                          DegradationState(cycle=0, failure_cycle=1_000_000))] * args.cycles
-        codes, _ = pipeline.scenario_source(schedule, f_op=args.fop, fs=args.fs,
-                                            noise_std=args.noise, seed=args.seed)
+        codes, _ = pipeline.scenario_source(schedule, fs=cfg.fs, f_op=cfg.f_op,
+                                            params=ValveParams(), noise_std=args.noise,
+                                            seed=args.seed)
     else:
         trace = read_trace_csv(args.scenario)
         if not math.isclose(trace.sample_rate, cfg.fs, rel_tol=1e-3):
@@ -203,8 +201,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fs", type=float, default=1000.0)
     p.add_argument("--fop", type=float, default=0.5)
-    p.add_argument("--temperature", type=float, default=26.0)
-    p.add_argument("--pressure", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=REFERENCE_TEMP_C)
+    p.add_argument("--pressure", type=float, default=REFERENCE_PRESSURE_BAR)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
@@ -228,10 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a model on a dataset CSV")
     p.add_argument("--task", choices=["fault", "rul"], required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch", type=int, default=10)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--batch", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True)
     p.add_argument("--history", help="history CSV path (default: <out>.history.csv)")
     p.set_defaults(func=_cmd_train)
@@ -260,9 +258,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--voltage", type=float)
     p.add_argument("--noise", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--rul-threshold", type=float, default=100.0)
-    p.add_argument("--fault-threshold", type=float, default=0.5)
-    p.add_argument("--clock", choices=["virtual", "realtime"], default="virtual")
+    p.add_argument("--rul-threshold", type=float, default=MonitorConfig.rul_alarm_threshold)
+    p.add_argument("--fault-threshold", type=float,
+                   default=MonitorConfig.fault_alarm_threshold)
+    p.add_argument("--clock", choices=["virtual", "realtime"], default=MonitorConfig.clock)
     p.set_defaults(func=_cmd_monitor)
 
     p = sub.add_parser("timing", help="buffer timing algebra for one configuration")

@@ -260,7 +260,7 @@ def extract_all(trace: TransientTrace,
 
 
 def write_features_csv(results: list[tuple[int, TransientFeatures]], path,
-                       full: bool = False) -> None:
+                       full: bool) -> None:
     """Write one row per extracted edge; ``full`` adds every intermediate."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")

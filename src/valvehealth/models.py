@@ -78,13 +78,18 @@ class Dataset:
 
 
 @dataclass
-class EvalReport:
-    """Test-split quality: accuracy plus a mean-probability confusion matrix
-    for classification, or the mean absolute error in cycles for regression."""
+class FaultReport:
+    """Classifier quality on a test split."""
 
-    accuracy: float | None = None
-    confusion: np.ndarray | None = None  # (4, 4): rows true class, mean predicted probs
-    mae_cycles: float | None = None
+    accuracy: float
+    confusion: np.ndarray  # (4, 4): rows true class, mean predicted probs
+
+
+@dataclass
+class RulReport:
+    """Regressor quality on a test split: mean absolute error in cycles."""
+
+    mae_cycles: float
 
 
 def build_fault_model(seed: int) -> Mlp:
@@ -246,8 +251,9 @@ def gen_rul_dataset(n_valves: int = 4, seed: int = 0, failure_cycle: int = 1500,
     return Dataset(x, np.asarray(ys), "rul", prov)
 
 
-def evaluate(model: Mlp, test: Dataset) -> EvalReport:
-    """Score a trained model on a held-out split."""
+def evaluate(model: Mlp, test: Dataset) -> FaultReport | RulReport:
+    """Score a trained model on a held-out split: a FaultReport for a fault
+    dataset, a RulReport for a remaining-life one."""
     if len(test) == 0:
         raise ParameterError("test set must be non-empty")
     outputs = tinynn.infer(model, test.x)
@@ -262,9 +268,9 @@ def evaluate(model: Mlp, test: Dataset) -> EvalReport:
             rows = outputs[test.y == c]
             if rows.shape[0]:
                 confusion[c] = rows.mean(axis=0)
-        return EvalReport(accuracy=accuracy, confusion=confusion)
+        return FaultReport(accuracy, confusion)
     preds = outputs[:, 0] if outputs.ndim == 2 else outputs
-    return EvalReport(mae_cycles=float(np.abs(preds - test.y).mean()))
+    return RulReport(float(np.abs(preds - test.y).mean()))
 
 
 def train_fault(ds: Dataset, cfg: TrainConfig | None = None):

@@ -1,12 +1,13 @@
 """The live monitoring loop: samples -> banks -> features -> inference -> alarms.
 
 Raw ADC codes stream through the ping-pong buffer that ``run_acquisition``
-owns; each delivered bank is copied out and released at once, converted
-back to mA and scanned for actuation edges. The bank's new edges are
-extracted in one batch, and every edge runs through the fault classifier
-and the remaining-life regressor. An alarm is raised when any non-good
-class probability reaches the fault threshold or the predicted remaining
-life falls under the cycle threshold.
+owns; each delivered bank is converted back to mA, released, and scanned
+for actuation edges. A bank's place in the stream follows from its
+sequence number, because every bank before the last one is full. The
+bank's new edges are extracted in one batch, and every edge runs through
+the fault classifier and the remaining-life regressor. An alarm is raised
+when any non-good class probability reaches the fault threshold or the
+predicted remaining life falls under the cycle threshold.
 
 Actuations that straddle a bank boundary are handled by carrying the last
 (lower_window + frame) samples of each bank into the next bank's analysis
@@ -34,7 +35,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tinynn
-from .acquisition import TimingReport, run_acquisition
+from .acquisition import TimingReport, max_cycles, run_acquisition
 from .errors import ParameterError
 from .features import ExtractionConfig, detect_rising_edges, extract_batch
 # Kept bound as pipeline.extract_features: the benchmark's tracer wraps that name.
@@ -111,7 +112,8 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
 
     events: list = []
     it_pc: list[float] = []
-    state = {"tail": np.empty(0), "pos": 0, "watermark": -1, "bank": 0}
+    tail = np.empty(0)  # the previous bank's last ``carry`` samples, in mA
+    watermark = -1      # global index of the last edge emitted
 
     def emit(event):
         events.append(event)
@@ -119,15 +121,15 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
             on_event(event)
 
     def consume(handle):
-        codes = np.array(handle.data, copy=True)
+        nonlocal tail, watermark
+        ma = codes_to_current(handle.data, cfg.adc)
         handle.release()
-        ma = codes_to_current(codes, cfg.adc)
-        analysis = np.concatenate((state["tail"], ma))
-        offset = state["pos"] - state["tail"].size
+        analysis = np.concatenate((tail, ma))
+        offset = handle.seq * cfg.k - tail.size
         edges = [z for z in detect_rising_edges(analysis, excfg)
-                 if offset + z > state["watermark"]]  # not yet emitted from the tail
+                 if offset + z > watermark]  # not yet emitted from the tail
         if edges:
-            state["watermark"] = offset + edges[-1]
+            watermark = offset + edges[-1]
             t0 = time.perf_counter()
             batch = extract_batch(analysis, edges, excfg)
             extract_share = (time.perf_counter() - t0) / len(edges)
@@ -135,7 +137,7 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
                 global_z = offset + z
                 err = batch.error_at(i)
                 if err is not None:
-                    emit(DiagnosticEvent(state["bank"], global_z, type(err).__name__))
+                    emit(DiagnosticEvent(handle.seq, global_z, type(err).__name__))
                     continue
                 t0 = time.perf_counter()
                 row = np.array([batch.di_dt[i], batch.auc[i]])
@@ -149,16 +151,13 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
                     stamp = round(global_z / cfg.fs * 1e6)
                 else:
                     stamp = round(time.time() * 1e6)
-                emit(MonitorEvent(buffer_seq=state["bank"], zero_index=global_z,
+                emit(MonitorEvent(buffer_seq=handle.seq, zero_index=global_z,
                                   fault_probs=probs,
                                   predicted_class=FAULT_CLASSES[int(probs.argmax())],
                                   rul=rul, alarm=alarm, it_pc=elapsed, timestamp_us=stamp))
-        state["tail"] = analysis[-carry:]
-        state["pos"] += ma.size
-        state["bank"] += 1
+        tail = analysis[-carry:]
 
-    acquired = run_acquisition(source, cfg.k, cfg.fs, consume,
-                               clock=cfg.clock, f_op=cfg.f_op)
+    acquired = run_acquisition(source, cfg.k, cfg.fs, consume, clock=cfg.clock)
     return events, replace(acquired, inference_time_per_cycle=(
         sum(it_pc) / len(it_pc) if it_pc else None))
 
@@ -193,9 +192,9 @@ def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
         "clock": cfg.clock,
         "k": report.k,
         "fs": report.fs,
-        "f_op": report.f_op,
+        "f_op": cfg.f_op,
         "b_fd_us": round(report.buffer_fill_duration * 1e6),
-        "c_max": report.max_cycles,
+        "c_max": max_cycles(cfg.k, cfg.f_op, cfg.fs),
         "lossless": report.lossless,
         "overrun_count": report.overrun_count,
         "banks_delivered": report.banks_delivered,
@@ -213,21 +212,24 @@ def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
     return json.dumps(payload)
 
 
-def scenario_source(schedule, f_op: float = 0.5, fs: float = 1000.0,
-                    params: ValveParams | None = None, noise_std: float = 1.0,
-                    seed: int = 0):
+def scenario_source(schedule, *, fs: float, f_op: float, params: ValveParams,
+                    noise_std: float, seed: int):
     """Raw-code stream with one actuation per ``(FaultCondition,
-    DegradationState)`` pair in ``schedule``.
+    DegradationState)`` pair in ``schedule``, sampled at ``fs`` Hz with one
+    actuation every ``1 / f_op`` seconds; pass the monitor's own rates.
 
     After 60 ms of idle lead-in, each actuation occupies one operation
     period: energized for the first half, released for the second.
+    Gaussian noise of ``noise_std`` mA (finite, >= 0) from
+    ``default_rng(seed)`` is added before quantization.
     Returns ``(codes, trigger_indices)`` where the trigger indices are the
     ground-truth actuation starts (for event-completeness checks).
     """
     schedule = list(schedule)
     if not schedule:
         raise ParameterError("schedule needs at least one actuation")
-    params = params or ValveParams()
+    if not 0 <= noise_std < np.inf:
+        raise ParameterError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     if not (0 < fs < np.inf and 0 < f_op < np.inf and fs / f_op >= 2):
         raise ParameterError(f"a period needs >= 2 samples and finite rates: fs={fs}, f_op={f_op}")
     period = round(fs / f_op)

@@ -33,7 +33,7 @@ import math
 import struct
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -246,9 +246,9 @@ class TrainConfig:
 
 @dataclass
 class TrainHistory:
-    train_loss: list[float] = field(default_factory=list)
-    val_loss: list[float] = field(default_factory=list)
-    epoch_s: list[float] = field(default_factory=list)  # wall seconds per epoch
+    train_loss: list[float]
+    val_loss: list[float]
+    epoch_s: list[float]  # wall seconds per epoch
 
 
 def _rmsprop_step(p, g, v, learning_rate: float, scratch, snapped) -> None:
@@ -314,7 +314,7 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
     state = np.zeros_like(flat)
     rng = np.random.default_rng(cfg.seed)
     n = x_tr.shape[0]
-    history = TrainHistory()
+    history = TrainHistory([], [], [])
 
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()

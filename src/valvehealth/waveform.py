@@ -85,14 +85,6 @@ class FaultCondition:
         return cls(FaultKind.GOOD)
 
     @classmethod
-    def spool_stuck(cls):
-        return cls(FaultKind.SPOOL_STUCK)
-
-    @classmethod
-    def spring_failure(cls):
-        return cls(FaultKind.SPRING_FAILURE)
-
-    @classmethod
     def under_voltage(cls, volts: float):
         return cls(FaultKind.UNDER_VOLTAGE, applied_voltage=volts)
 
@@ -190,10 +182,6 @@ class TransientTrace:
             raise ParameterError("samples must be finite")
         if not 0 < self.sample_rate < math.inf:
             raise ParameterError(f"sample_rate must be finite and > 0, got {self.sample_rate!r}")
-
-    @property
-    def times_ms(self) -> np.ndarray:
-        return np.arange(self.samples.size) * (1000.0 / self.sample_rate)
 
 
 def sensor_gain(rs_ohm: float, rl_ohm: float) -> float:

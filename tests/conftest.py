@@ -19,8 +19,8 @@ else:
 
 from valvehealth import models
 from valvehealth.tinynn import TrainConfig
-from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,
-                                  synth_transient)
+from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
+                                  ValveParams, synth_transient)
 
 
 @pytest.fixture(scope="session")
@@ -76,9 +76,9 @@ def random_synthetic_trace(seed: int) -> np.ndarray:
     if roll == 0:
         fault = FaultCondition.good()
     elif roll == 1:
-        fault = FaultCondition.spool_stuck()
+        fault = FaultCondition(FaultKind.SPOOL_STUCK)
     elif roll == 2:
-        fault = FaultCondition.spring_failure()
+        fault = FaultCondition(FaultKind.SPRING_FAILURE)
     else:
         fault = FaultCondition.under_voltage(rng.uniform(8.0, 23.0))
     deg = DegradationState(cycle=int(rng.integers(0, 1001)), failure_cycle=1000)

@@ -20,7 +20,7 @@ from valvehealth.features import (ExtractionConfig, detect_rising_edges,
 from valvehealth.pipeline import MonitorConfig, MonitorEvent, run_monitor, scenario_source
 from valvehealth.tinynn import (Activation, LayerSpec, ModelKind, new_mlp,
                                 parameter_counts, serialize, deserialize)
-from valvehealth.waveform import (FaultCondition, current_to_voltage,
+from valvehealth.waveform import (FaultCondition, ValveParams, current_to_voltage,
                                   sensor_gain)
 
 TABLE5 = [(1000, 2, 2), (1000, 1, 1),
@@ -97,7 +97,7 @@ def test_criterion_6_lossless_acquisition():
             chunks.append(np.array(handle.data, copy=True))
             handle.release()
 
-        report = run_acquisition(iter(src), k, fs, consumer)
+        report = run_acquisition(iter(src), k, fs, consumer, clock="virtual")
         assert np.array_equal(np.concatenate(chunks), src)
         assert report.lossless and report.banks_delivered >= 10
 
@@ -109,7 +109,8 @@ def test_criterion_6_lossless_acquisition():
         if len(held) > 2:
             held.pop(0).release()
 
-    slow_report = run_acquisition(iter(np.zeros(8 * k, dtype=int)), k, fs, starved)
+    slow_report = run_acquisition(iter(np.zeros(8 * k, dtype=int)), k, fs, starved,
+                                  clock="virtual")
     assert not slow_report.lossless and slow_report.overrun_count >= 1
     ok(6, "100/10/1 Hz sines reconstruct exactly over >= 10 switches; "
           f"starved consumer -> {slow_report.overrun_count} counted overruns")
@@ -158,8 +159,10 @@ def test_criterion_10_end_to_end_monitor(trained_fault, trained_rul):
     fault_model, rul_model = trained_fault[0], trained_rul[0]
 
     # degradation scenario: one event per actuation, alarm before failure
-    codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200), seed=0)
     cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5)
+    codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200),
+                                      fs=cfg.fs, f_op=cfg.f_op, params=ValveParams(),
+                                      noise_std=1.0, seed=0)
     events, _ = run_monitor(iter(codes), fault_model, rul_model, cfg)
     mons = [e for e in events if isinstance(e, MonitorEvent)]
     assert len(mons) == len(triggers)
@@ -170,9 +173,10 @@ def test_criterion_10_end_to_end_monitor(trained_fault, trained_rul):
     # reference (K, f_op) configuration at 1 kHz
     for k, f_op, _ in TABLE5:
         n_cycles = max(int(np.ceil(k * f_op / 1000)) + 1, 2)
-        src, _ = scenario_source(constant_schedule(FaultCondition.good(), n_cycles),
-                                 f_op=f_op, fs=1000.0, seed=1)
         cfg_k = MonitorConfig(k=k, fs=1000.0, f_op=f_op)
+        src, _ = scenario_source(constant_schedule(FaultCondition.good(), n_cycles),
+                                 fs=cfg_k.fs, f_op=cfg_k.f_op, params=ValveParams(),
+                                 noise_std=1.0, seed=1)
         _, report = run_monitor(iter(src), fault_model, rul_model, cfg_k)
         assert report.inference_time_per_buffer is not None
         assert report.inference_time_per_buffer < report.buffer_fill_duration, \

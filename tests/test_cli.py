@@ -41,7 +41,8 @@ class TestSimulate:
         assert code == 0
         trace = read_trace_csv(out)
         assert trace.samples.size == 1650
-        assert np.allclose(np.diff(trace.times_ms), 0.1)
+        times_ms = np.arange(trace.samples.size) * 1000.0 / trace.sample_rate
+        assert np.allclose(np.diff(times_ms), 0.1)
 
     @pytest.mark.parametrize("cycles", ["1", "3"])
     @pytest.mark.parametrize("severity", ["1.5", "-0.1"])
@@ -299,8 +300,11 @@ class TestBadNumbers:
         (["timing", "--k", "100", "--fop", "nan"], None),
         (["simulate", "--cycles", "3", "--fop", "2000", "--out", "{out}"], None),
         (["train", "--task", "fault", "--data", "{dataset}", "--out", "{out}"], "line 3"),
+        (["simulate", "--cycles", "3", "--noise", "nan", "--out", "{out}"], None),
+        (["simulate", "--cycles", "3", "--noise", "-5", "--out", "{out}"], None),
     ], ids=["extract-nan-time", "simulate-nan-fs", "timing-nan-fop",
-            "simulate-fop-above-fs", "train-nan-feature"])
+            "simulate-fop-above-fs", "train-nan-feature", "simulate-nan-noise",
+            "simulate-negative-noise"])
     def test_rejected_with_error_line(self, capsys, tmp_path, argv, line):
         paths = {"trace": tmp_path / "trace.csv", "dataset": tmp_path / "data.csv",
                  "out": tmp_path / "out"}

@@ -10,8 +10,8 @@ from valvehealth.errors import (DegenerateTransientError, NoActuationError,
                                 ParameterError)
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
                                   extract_all, extract_features, write_features_csv)
-from valvehealth.waveform import (DegradationState, FaultCondition, ValveParams,
-                                  synth_transient)
+from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
+                                  ValveParams, synth_transient)
 
 FRESH = DegradationState(0, 1)
 CFG = ExtractionConfig.for_sample_rate(1000.0)
@@ -154,7 +154,7 @@ class TestProperties:
         p = ValveParams()
         feats = {}
         for name, fault in (("good", FaultCondition.good()),
-                            ("spool", FaultCondition.spool_stuck()),
+                            ("spool", FaultCondition(FaultKind.SPOOL_STUCK)),
                             ("uv12", FaultCondition.under_voltage(12.0))):
             tr = synth_transient(p, fault, FRESH)
             (_, ft), = extract_all(tr)
@@ -230,7 +230,7 @@ class TestFeatureCsv:
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
         results = extract_all(tr)
         path = tmp_path / "features.csv"
-        write_features_csv(results, path)
+        write_features_csv(results, path, full=False)
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1

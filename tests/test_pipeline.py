@@ -15,6 +15,10 @@ from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
                                   ValveParams, current_to_codes, transient_current)
 
 
+# A stock valve with 1 mA of noise, for scenario_source.
+STOCK_VALVE = {"params": ValveParams(), "noise_std": 1.0}
+
+
 def forced_classifier(logits):
     """Bias-only softmax net that always emits softmax(logits)."""
     return Mlp([LayerSpec(2, 4, Activation.SOFTMAX)], [np.zeros((4, 2))],
@@ -37,9 +41,9 @@ class TestEventCompleteness:
     @pytest.mark.parametrize("k", [1000, 2000, 5000, 10000])
     @pytest.mark.parametrize("f_op", [0.5, 1.0, 2.0])
     def test_one_event_per_actuation(self, k, f_op):
-        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 9),
-                                          f_op=f_op, fs=1000.0, seed=1)
         cfg = MonitorConfig(k=k, fs=1000.0, f_op=f_op)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 9),
+                                          fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=1)
         events, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                      forced_regressor(5000.0), cfg)
         got = monitor_events(events)
@@ -52,7 +56,7 @@ class TestEventCompleteness:
     def test_edge_straddling_bank_boundary(self):
         # place an actuation so its 100-sample frame crosses the bank edge
         codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 3),
-                                          f_op=2.0, fs=1000.0, seed=2)
+                                          fs=1000.0, f_op=2.0, **STOCK_VALVE, seed=2)
         k = triggers[1] + 40  # frame of actuation 2 extends past bank 0
         cfg = MonitorConfig(k=k, fs=1000.0, f_op=2.0)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
@@ -69,12 +73,14 @@ class TestEventCompleteness:
 
     @pytest.mark.parametrize("k", [1, 7, 150, 151, 1000])
     def test_block_and_sample_sources_identical_events(self, k, trained_fault, trained_rul):
-        conditions = [FaultCondition.good(), FaultCondition.spool_stuck(),
-                      FaultCondition.spring_failure(), FaultCondition.under_voltage(12.0)]
+        conditions = [FaultCondition.good(), FaultCondition(FaultKind.SPOOL_STUCK),
+                      FaultCondition(FaultKind.SPRING_FAILURE),
+                      FaultCondition.under_voltage(12.0)]
         schedule = [(fault, DegradationState(cycle=40 * i, failure_cycle=200))
                     for i, fault in enumerate(conditions)]
-        codes, triggers = scenario_source(schedule, f_op=2.0, fs=1000.0, seed=12)
         cfg = MonitorConfig(k=k, fs=1000.0, f_op=2.0)
+        codes, triggers = scenario_source(schedule, fs=cfg.fs, f_op=cfg.f_op,
+                                          **STOCK_VALVE, seed=12)
 
         def run(source):
             events, report = run_monitor(source, trained_fault[0], trained_rul[0], cfg)
@@ -102,8 +108,9 @@ class TestAlarmPredicate:
 
     @pytest.mark.parametrize("logits,rul,expect", CASES)
     def test_alarm_matches_predicate(self, logits, rul, expect):
-        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 2), seed=3)
         cfg = MonitorConfig(k=4000, fs=1000.0, f_op=0.5)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 2),
+                                   fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=3)
         events, _ = run_monitor(iter(codes), forced_classifier(logits),
                                 forced_regressor(rul), cfg)
         for event in monitor_events(events):
@@ -114,8 +121,9 @@ class TestAlarmPredicate:
             assert abs(probs.sum() - 1.0) < 1e-6
 
     def test_rul_clamped_at_zero(self):
-        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 1), seed=4)
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 1),
+                                   fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=4)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(-250.0), cfg)
         (event,) = monitor_events(events)
@@ -124,8 +132,9 @@ class TestAlarmPredicate:
 
 class TestDeterminism:
     def test_identical_runs_identical_events(self):
-        codes, _ = scenario_source(degradation_schedule(12, failure_cycle=60), seed=5)
         cfg = MonitorConfig(k=5000, fs=1000.0, f_op=0.5)
+        codes, _ = scenario_source(degradation_schedule(12, failure_cycle=60),
+                                   fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=5)
 
         def run():
             events, _ = run_monitor(iter(codes), forced_classifier([4, 1, 0, 0]),
@@ -137,8 +146,9 @@ class TestDeterminism:
         assert run() == run()
 
     def test_virtual_timestamps_sample_derived(self):
-        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 2), seed=6)
         cfg = MonitorConfig(k=5000, fs=1000.0, f_op=0.5)
+        codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 2),
+                                          fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=6)
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(5000.0), cfg)
         for event in monitor_events(events):
@@ -150,9 +160,10 @@ class TestDiagnostics:
         # an instant step is detectable but degenerate; the stream continues
         # into a healthy actuation afterwards
         step = np.concatenate([np.zeros(100), np.full(200, 3000)]).astype(int)
-        good, triggers = scenario_source(constant_schedule(FaultCondition.good(), 1), seed=7)
-        codes = np.concatenate([step, np.zeros(50, dtype=int), good])
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
+        good, triggers = scenario_source(constant_schedule(FaultCondition.good(), 1),
+                                         fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=7)
+        codes = np.concatenate([step, np.zeros(50, dtype=int), good])
         events, _ = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(5000.0), cfg)
         diags = [e for e in events if isinstance(e, DiagnosticEvent)]
@@ -172,8 +183,9 @@ class TestDiagnostics:
 
 class TestTimingReport:
     def test_monitor_report_measures_wall_time(self):
-        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 4), seed=8)
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 4),
+                                   fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=8)
         _, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
                                 forced_regressor(5000.0), cfg)
         assert report.inference_time_per_buffer is not None
@@ -183,8 +195,10 @@ class TestTimingReport:
 
 class TestJsonEmission:
     def test_event_json_fields(self):
-        codes, _ = scenario_source(constant_schedule(FaultCondition.spool_stuck(), 1), seed=9)
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)
+        spool_stuck = FaultCondition(FaultKind.SPOOL_STUCK)
+        codes, _ = scenario_source(constant_schedule(spool_stuck, 1), fs=cfg.fs, f_op=cfg.f_op,
+                                   **STOCK_VALVE, seed=9)
         events, report = run_monitor(iter(codes), forced_classifier([0, 9, 0, 0]),
                                      forced_regressor(5000.0), cfg)
         (event,) = monitor_events(events)
@@ -197,6 +211,8 @@ class TestJsonEmission:
         report_payload = json.loads(report_to_json(report, cfg))
         assert report_payload["type"] == "timing_report"
         assert report_payload["b_fd_us"] == 3_000_000
+        assert report_payload["f_op"] == 0.5
+        assert report_payload["c_max"] == 1.5
         assert report_payload["it_pb_steps"] == 3000
 
     def test_realtime_json_uses_microseconds(self):
@@ -233,15 +249,16 @@ class TestJsonEmission:
 class TestScenarioSources:
     def test_constant_source_trigger_layout(self):
         codes, triggers = scenario_source(constant_schedule(FaultCondition.good(), 5),
-                                          f_op=2.0, fs=1000.0, seed=10)
+                                          fs=1000.0, f_op=2.0, **STOCK_VALVE, seed=10)
         assert triggers == [60 + i * 500 for i in range(5)]
         assert len(codes) == 60 + 5 * 500
 
     def test_degradation_source_sweeps_to_failure(self, trained_fault, trained_rul):
         fault_model = trained_fault[0]
         rul_model = trained_rul[0]
-        codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200), seed=11)
         cfg = MonitorConfig(k=10000, fs=1000.0, f_op=0.5)
+        codes, triggers = scenario_source(degradation_schedule(40, failure_cycle=200),
+                                          fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=11)
         events, _ = run_monitor(iter(codes), fault_model, rul_model, cfg)
         mons = monitor_events(events)
         assert len(mons) == len(triggers)
@@ -254,12 +271,14 @@ class TestScenarioSources:
 
     def test_mixed_schedule_segments(self):
         fs, f_op = 1000.0, 2.0
-        conditions = [FaultCondition.good(), FaultCondition.spool_stuck(),
-                      FaultCondition.spring_failure(), FaultCondition.under_voltage(10.0)]
+        conditions = [FaultCondition.good(), FaultCondition(FaultKind.SPOOL_STUCK),
+                      FaultCondition(FaultKind.SPRING_FAILURE),
+                      FaultCondition.under_voltage(10.0)]
         schedule = [(fault, DegradationState(cycle=wear, failure_cycle=100))
                     for fault, wear in zip(conditions, [0, 30, 60, 100])]
-        codes, triggers = scenario_source(schedule, f_op=f_op, fs=fs, noise_std=0.0)
         params = ValveParams()
+        codes, triggers = scenario_source(schedule, fs=fs, f_op=f_op, params=params,
+                                          noise_std=0.0, seed=0)
         period = 500
         on = period // 2
         idle = current_to_codes(np.array([params.idle_current]))[0]
@@ -273,7 +292,8 @@ class TestScenarioSources:
             assert np.all(codes[trigger + on:trigger + period] == idle)
 
     def test_bad_args(self):
+        rates = dict(fs=1000.0, f_op=0.5, **STOCK_VALVE, seed=0)
         with pytest.raises(ParameterError):
-            scenario_source(constant_schedule(FaultCondition.good(), 0))
+            scenario_source(constant_schedule(FaultCondition.good(), 0), **rates)
         with pytest.raises(ParameterError):
-            scenario_source(degradation_schedule(0))
+            scenario_source(degradation_schedule(0), **rates)

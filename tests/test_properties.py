@@ -56,16 +56,18 @@ def untrained_models():
 
 @given(seed=st.integers(0, 2 ** 16), k=st.integers(1, 2000))
 def test_events_do_not_depend_on_bank_size(seed, k):
-    """Every edge the whole stream holds is emitted once, whatever K, and
-    each event's class, alarm, probabilities and remaining life are the
-    same bits as with the whole stream in one bank."""
+    """Every edge the whole stream holds is emitted once, whatever K, by
+    the bank that completes its frame, and each event's class, alarm,
+    probabilities and remaining life are the same bits as with the whole
+    stream in one bank."""
     codes = current_to_codes(random_synthetic_trace(seed))
     fault, rul = untrained_models()
     cfg = MonitorConfig(k=k, fs=1000.0, f_op=1.0)
+    excfg = ExtractionConfig.for_sample_rate(cfg.fs)
     events, _ = run_monitor(codes, fault, rul, cfg)
-    whole = detect_rising_edges(codes_to_current(codes),
-                                ExtractionConfig.for_sample_rate(cfg.fs))
+    whole = detect_rising_edges(codes_to_current(codes), excfg)
     assert [e.zero_index for e in events] == whole
+    assert all(e.buffer_seq == (e.zero_index + excfg.frame - 1) // k for e in events)
     one_bank, _ = run_monitor(codes, fault, rul, MonitorConfig(k=codes.size, fs=1000.0,
                                                                f_op=1.0))
     assert [payload(e) for e in events] == [payload(e) for e in one_bank]

@@ -183,12 +183,12 @@ class TestSynthTransient:
 
     def test_spool_stuck_has_no_notch(self):
         p = ValveParams()
-        tr = synth_transient(p, FaultCondition.spool_stuck(), FRESH)
+        tr = synth_transient(p, FaultCondition(FaultKind.SPOOL_STUCK), FRESH)
         lo = LEAD + round(p.dip_time) - 5
         hi = LEAD + round(p.dip_time) + 5
         window = tr.samples[lo:hi]
         t = (np.arange(lo, hi) - LEAD) * 1.0
-        rise = transient_current(p, FaultCondition.spool_stuck(), FRESH, t)
+        rise = transient_current(p, FaultCondition(FaultKind.SPOOL_STUCK), FRESH, t)
         assert np.all(np.abs(window - rise) <= lsb_ma())
         assert window.min() == window[0]  # monotone rise, no dip
 
@@ -202,7 +202,7 @@ class TestSynthTransient:
     def test_spring_failure_dip_later_and_shallower(self):
         p = ValveParams()
         good = synth_transient(p, GOOD, FRESH).samples
-        spring = synth_transient(p, FaultCondition.spring_failure(), FRESH).samples
+        spring = synth_transient(p, FaultCondition(FaultKind.SPRING_FAILURE), FRESH).samples
         lo = 70  # past the rise; the notch sits at 15 ms (good) / 22.5 ms (spring)
         assert np.argmin(good[lo:110]) < np.argmin(spring[lo:110])
         plateau = good[110]
@@ -212,7 +212,7 @@ class TestSynthTransient:
         p = ValveParams()
         dead = DegradationState(1000, 1000)
         worn = synth_transient(p, GOOD, dead)
-        stuck = synth_transient(p, FaultCondition.spool_stuck(), dead)
+        stuck = synth_transient(p, FaultCondition(FaultKind.SPOOL_STUCK), dead)
         assert np.array_equal(worn.samples, stuck.samples)
 
     def test_monotone_degradation_auc(self):
