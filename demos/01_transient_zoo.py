@@ -33,7 +33,7 @@ def main():
     for name, fault in CONDITIONS:
         trace = synth_transient(params, fault, fresh, noise_std=1.0, seed=7)
         traces[name] = trace
-        (zero, ft), = extract_all(trace)
+        (ft,), _ = extract_all(trace)
         print(f"{name:<20} {ft.di_dt:>12.3f} {ft.auc:>10.2f} "
               f"{ft.tl:>6.1f} {ft.tu:>6.1f} {trace.samples.max():>8.1f}")
 
@@ -48,7 +48,7 @@ def main():
     for s in (0.0, 0.25, 0.5, 0.75, 1.0):
         deg = DegradationState(cycle=int(s * 1500), failure_cycle=1500)
         trace = synth_transient(params, FaultCondition.good(), deg)
-        (_, ft), = extract_all(trace)
+        (ft,), _ = extract_all(trace)
         print(f"  severity {s:4.2f}: di/dt {ft.di_dt:8.3f}  AUC {ft.auc:8.2f}")
     print("AUC falls monotonically toward the spool-stuck signature.")
 

@@ -18,9 +18,9 @@ Equivalent CLI session:
 """
 
 from valvehealth import (DegradationState, FaultCondition, MonitorConfig,
-                         MonitorEvent, ValveParams, gen_fault_dataset, gen_rul_dataset,
-                         max_cycles, run_monitor, scenario_source, train_fault,
-                         train_rul)
+                         MonitorEvent, ValveParams, buffer_fill_duration,
+                         gen_fault_dataset, gen_rul_dataset, max_cycles, run_monitor,
+                         scenario_source, train_fault, train_rul)
 from valvehealth.tinynn import TrainConfig
 
 FAILURE_CYCLE = 200
@@ -65,10 +65,11 @@ def main():
     print(f"\nevents: {len(mons)} for {len(triggers)} injected actuations")
     print(f"first alarm at sample {first.zero_index} "
           f"(cycle {(first.zero_index // 2000) * 5} of {FAILURE_CYCLE})")
-    print(f"timing: B_fd {report.buffer_fill_duration:.1f} s, "
+    it_pc = sum(e.it_pc for e in mons) / len(mons)
+    print(f"timing: B_fd {buffer_fill_duration(cfg.k, cfg.fs):.1f} s, "
           f"C_max {max_cycles(cfg.k, cfg.f_op, cfg.fs):.0f}, "
           f"IT_pb {report.inference_time_per_buffer * 1e3:.2f} ms, "
-          f"lossless={report.lossless}")
+          f"IT_pc {it_pc * 1e3:.3f} ms, overruns={report.overrun_count}")
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ Single producer, single consumer only.
 from __future__ import annotations
 
 import itertools
+import numbers
 import queue
 import threading
 import time
@@ -75,8 +76,8 @@ class PingPongBuffer:
     _range = np.iinfo(dtype)
 
     def __init__(self, k: int):
-        if k <= 0:
-            raise ParameterError("bank size k must be > 0")
+        if not isinstance(k, numbers.Integral) or k <= 0:
+            raise ParameterError(f"bank size k must be an integer > 0, got {k!r}")
         self.k = k
         self._banks = [np.zeros(k, dtype=self.dtype), np.zeros(k, dtype=self.dtype)]
         self._active = 0
@@ -167,21 +168,17 @@ class PingPongBuffer:
 
 @dataclass
 class TimingReport:
-    """Derived and measured acquisition timing for one run.
+    """What one acquisition run measured; the rates it ran at are the caller's.
 
-    ``inference_time_*`` are wall-clock means (seconds); per-cycle figures
-    are filled in by the monitor pipeline, which knows about actuations.
-    ``lossless`` holds exactly when no bank was reused before release.
-    ``producer_lag_max`` is the worst lateness, in seconds, of a block push
-    against the due time of its last sample (None under the virtual clock).
+    ``inference_time_per_buffer`` is the wall-clock mean of the consumer
+    calls in seconds (IT_pb; None when no bank was delivered). The run was
+    lossless exactly when ``overrun_count`` is 0, i.e. no bank was reused
+    before release. ``producer_lag_max`` is the worst lateness, in seconds,
+    of a block push against the due time of its last sample (None under
+    the virtual clock).
     """
 
-    k: int
-    fs: float
-    buffer_fill_duration: float
-    inference_time_per_cycle: float | None
     inference_time_per_buffer: float | None
-    lossless: bool
     overrun_count: int
     banks_delivered: int
     producer_lag_max: float | None
@@ -285,11 +282,7 @@ def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> Timin
 
     mean_it_pb = sum(durations) / len(durations) if durations else None
     return TimingReport(
-        k=k, fs=fs,
-        buffer_fill_duration=b_fd,
-        inference_time_per_cycle=None,
         inference_time_per_buffer=mean_it_pb,
-        lossless=buf.overrun_count == 0,
         overrun_count=buf.overrun_count,
         banks_delivered=len(durations),
         producer_lag_max=lag_max,

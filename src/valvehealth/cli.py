@@ -60,12 +60,11 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_extract(args) -> int:
     trace = read_trace_csv(args.infile)
-    skipped = []
-    results = extract_all(trace, diagnostics=skipped)
+    features, skipped = extract_all(trace)
     for z, err in skipped:
         print(f"skipped edge at zero_index {z}: {type(err).__name__}", file=sys.stderr)
-    write_features_csv(results, args.out, full=args.full)
-    print(f"extracted {len(results)} actuation(s) to {args.out}")
+    write_features_csv(features, args.out, full=args.full)
+    print(f"extracted {len(features)} actuation(s) to {args.out}")
     return 0
 
 
@@ -169,9 +168,9 @@ def _cmd_monitor(args) -> int:
     def stream(event):
         print(pipeline.event_to_json(event, cfg, excfg))
 
-    _, report = pipeline.run_monitor(codes, fault_model, rul_model, cfg,
-                                     on_event=stream)
-    print(pipeline.report_to_json(report, cfg))
+    events, report = pipeline.run_monitor(codes, fault_model, rul_model, cfg,
+                                          on_event=stream)
+    print(pipeline.report_to_json(report, cfg, events))
     return 0
 
 

@@ -238,38 +238,34 @@ def extract_features(samples, zero_index: int, cfg: ExtractionConfig) -> Transie
     return batch.row(0)
 
 
-def extract_all(trace: TransientTrace,
-                diagnostics: list | None = None) -> list[tuple[int, TransientFeatures]]:
+def extract_all(trace: TransientTrace) -> tuple[list[TransientFeatures],
+                                                list[tuple[int, ExtractionError]]]:
     """Detect every edge in a trace and extract all of them in one batch,
     with the windows scaled to the trace's sample rate.
 
-    Per-edge failures never abort the sweep; pass a ``diagnostics`` list to
-    collect ``(zero_index, error)`` pairs for the edges that were skipped.
+    Per-edge failures never abort the sweep. Returns ``(features,
+    diagnostics)``: the feature set of each clean edge in scan order, and a
+    ``(zero_index, error)`` pair for each edge that was skipped.
     """
     cfg = ExtractionConfig.for_sample_rate(trace.sample_rate)
     edges = detect_rising_edges(trace.samples, cfg)
     batch = extract_batch(trace.samples, edges, cfg)
-    out = []
+    features, diagnostics = [], []
     for i, z in enumerate(edges):
         err = batch.error_at(i)
         if err is None:
-            out.append((z, batch.row(i)))
-        elif diagnostics is not None:
+            features.append(batch.row(i))
+        else:
             diagnostics.append((z, err))
-    return out
+    return features, diagnostics
 
 
-def write_features_csv(results: list[tuple[int, TransientFeatures]], path,
-                       full: bool) -> None:
+def write_features_csv(features: list[TransientFeatures], path, full: bool) -> None:
     """Write one row per extracted edge; ``full`` adds every intermediate."""
+    columns = _FULL_COLUMNS if full else ["zero_index", "di_dt", "auc"]
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        if full:
-            w.writerow(_FULL_COLUMNS)
-            for z, ft in results:
-                w.writerow([z] + [repr(getattr(ft, c)) for c in _FULL_COLUMNS[1:]])
-        else:
-            w.writerow(["zero_index", "di_dt", "auc"])
-            for z, ft in results:
-                w.writerow([z, repr(ft.di_dt), repr(ft.auc)])
+        w.writerow(columns)
+        for ft in features:
+            w.writerow([ft.zero_index] + [repr(getattr(ft, c)) for c in columns[1:]])
 

@@ -187,7 +187,7 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
     return x, used
 
 
-def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
+def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, *, seed: int,
                       noise_std: float = 1.0) -> Dataset:
     """Synthesize a labeled fault dataset with the requested per-class counts.
 
@@ -221,7 +221,7 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, seed: int = 0,
     return Dataset(x, np.asarray(ys), "fault", prov)
 
 
-def gen_rul_dataset(n_valves: int = 4, seed: int = 0, failure_cycle: int = 1500,
+def gen_rul_dataset(n_valves: int, seed: int, failure_cycle: int = 1500,
                     noise_std: float = 0.5) -> Dataset:
     """Run-to-failure trajectories: one row per 5 operations.
 

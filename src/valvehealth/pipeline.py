@@ -19,23 +19,25 @@ slices of it.
 
 Clocks: with ``virtual`` the producer is unpaced, the consumer runs inline
 and all emitted timestamps/latencies are deterministic (sample-derived microseconds
-and processing-step counts). Wall-clock latencies are still measured and
-reported on the returned TimingReport, so performance assertions work in
-either mode. With ``realtime`` the producer sleeps once per block, until
-the block's last sample is due on the wall clock, the consumer runs on its
-own thread, and the emitted times are measured microseconds.
+and processing-step counts). Wall-clock latencies are still measured, IT_pb
+on the returned TimingReport and IT_pc on each event, so performance
+assertions work in either mode. With ``realtime`` the producer sleeps once
+per block, until the block's last sample is due on the wall clock, the
+consumer runs on its own thread, and the emitted times are measured
+microseconds.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tinynn
-from .acquisition import TimingReport, max_cycles, run_acquisition
+from .acquisition import TimingReport, buffer_fill_duration, max_cycles, run_acquisition
 from .errors import ParameterError
 from .features import ExtractionConfig, detect_rising_edges, extract_batch
 # Kept bound as pipeline.extract_features: the benchmark's tracer wraps that name.
@@ -43,7 +45,7 @@ from .features import extract_features  # noqa: F401
 from .models import FAULT_CLASSES
 from .tinynn import Mlp, ModelKind
 from .waveform import (AdcConfig, FaultKind, ValveParams, codes_to_current,
-                       current_to_codes, transient_current)
+                       current_to_codes, drive_currents, effective_transient)
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ class MonitorConfig:
     adc: AdcConfig = field(default_factory=AdcConfig)
 
     def __post_init__(self):
-        if self.k <= 0:
-            raise ParameterError("k must be > 0")
+        if not isinstance(self.k, numbers.Integral) or self.k <= 0:
+            raise ParameterError(f"k must be an integer > 0, got {self.k!r}")
         rates = (self.fs, self.f_op, self.rul_alarm_threshold, self.fault_alarm_threshold)
         if not all(0 < v < np.inf for v in rates):
             raise ParameterError("fs, f_op and the alarm thresholds must be finite and > 0")
@@ -102,16 +104,16 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
     """Run the full loop over a stream of raw ADC codes.
 
     Returns ``(events, report)`` where ``events`` also contains
-    DiagnosticEvent entries for edges that failed extraction. ``on_event``
-    is called with each event as it is emitted (the CLI streams JSON lines
-    from it).
+    DiagnosticEvent entries for edges that failed extraction and ``report``
+    is the acquisition's TimingReport; each MonitorEvent carries its own
+    IT_pc. ``on_event`` is called with each event as it is emitted (the CLI
+    streams JSON lines from it).
     """
     _check_models(fault_model, rul_model)
     excfg = ExtractionConfig.for_sample_rate(cfg.fs)
     carry = excfg.lower_window + excfg.frame
 
     events: list = []
-    it_pc: list[float] = []
     tail = np.empty(0)  # the previous bank's last ``carry`` samples, in mA
     watermark = -1      # global index of the last edge emitted
 
@@ -144,7 +146,6 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
                 probs = tinynn.infer(fault_model, row)
                 rul = max(float(tinynn.infer(rul_model, row)[0]), 0.0)
                 elapsed = extract_share + time.perf_counter() - t0
-                it_pc.append(elapsed)
                 alarm = (float(probs[1:].max()) >= cfg.fault_alarm_threshold
                          or rul < cfg.rul_alarm_threshold)
                 if cfg.clock == "virtual":
@@ -157,9 +158,7 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
                                   rul=rul, alarm=alarm, it_pc=elapsed, timestamp_us=stamp))
         tail = analysis[-carry:]
 
-    acquired = run_acquisition(source, cfg.k, cfg.fs, consume, clock=cfg.clock)
-    return events, replace(acquired, inference_time_per_cycle=(
-        sum(it_pc) / len(it_pc) if it_pc else None))
+    return events, run_acquisition(source, cfg.k, cfg.fs, consume, clock=cfg.clock)
 
 
 def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig) -> str:
@@ -185,27 +184,32 @@ def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig) -> str:
     return json.dumps(payload)
 
 
-def report_to_json(report: TimingReport, cfg: MonitorConfig) -> str:
-    """Final timing-report JSON line (deterministic under the virtual clock)."""
+def report_to_json(report: TimingReport, cfg: MonitorConfig, events) -> str:
+    """Final timing-report JSON line (deterministic under the virtual clock).
+
+    The rates come from ``cfg`` and the measurements from ``report``;
+    under the realtime clock IT_pc is the mean ``it_pc`` of the run's
+    MonitorEvents, summed in emission order.
+    """
     payload = {
         "type": "timing_report",
         "clock": cfg.clock,
-        "k": report.k,
-        "fs": report.fs,
+        "k": cfg.k,
+        "fs": cfg.fs,
         "f_op": cfg.f_op,
-        "b_fd_us": round(report.buffer_fill_duration * 1e6),
+        "b_fd_us": round(buffer_fill_duration(cfg.k, cfg.fs) * 1e6),
         "c_max": max_cycles(cfg.k, cfg.f_op, cfg.fs),
-        "lossless": report.lossless,
+        "lossless": report.overrun_count == 0,
         "overrun_count": report.overrun_count,
         "banks_delivered": report.banks_delivered,
     }
     excfg = ExtractionConfig.for_sample_rate(cfg.fs)
     if cfg.clock == "virtual":
         payload["it_pc_steps"] = excfg.lower_window + excfg.frame
-        payload["it_pb_steps"] = report.k
+        payload["it_pb_steps"] = cfg.k
     else:
-        payload["it_pc_us"] = (None if report.inference_time_per_cycle is None
-                               else round(report.inference_time_per_cycle * 1e6))
+        it_pc = [e.it_pc for e in events if isinstance(e, MonitorEvent)]
+        payload["it_pc_us"] = round(sum(it_pc) / len(it_pc) * 1e6) if it_pc else None
         payload["it_pb_us"] = (None if report.inference_time_per_buffer is None
                                else round(report.inference_time_per_buffer * 1e6))
         payload["producer_lag_max_us"] = round(report.producer_lag_max * 1e6)
@@ -238,9 +242,10 @@ def scenario_source(schedule, *, fs: float, f_op: float, params: ValveParams,
     t_ms = np.arange(on) * (1000.0 / fs)
 
     stream = np.full(lead + len(schedule) * period, params.idle_current)
+    periods = stream[lead:].reshape(len(schedule), period)  # a view: one row per actuation
+    periods[:, :on] = drive_currents(
+        [effective_transient(params, fault, deg) for fault, deg in schedule], t_ms)
     triggers = [lead + i * period for i in range(len(schedule))]
-    for start, (fault, deg) in zip(triggers, schedule):
-        stream[start:start + on] = transient_current(params, fault, deg, t_ms)
     if noise_std > 0:
         stream = stream + np.random.default_rng(seed).normal(0.0, noise_std, stream.size)
     return current_to_codes(stream), triggers

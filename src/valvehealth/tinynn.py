@@ -30,6 +30,7 @@ with per-feature scaler mean f64 and std f64; trailing CRC32.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 import time
 import zlib
@@ -236,12 +237,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ParameterError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ParameterError("learning_rate must be > 0")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ParameterError(f"{name} must be an integer >= 1, got {value!r}")
+        if not 0 < self.learning_rate < math.inf:  # False for NaN
+            raise ParameterError(f"learning_rate must be finite and > 0, "
+                                 f"got {self.learning_rate!r}")
 
 
 @dataclass

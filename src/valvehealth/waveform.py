@@ -14,8 +14,9 @@ current to a voltage through a shunt amplifier (gain = Rs * Rl / 1 kOhm) and
 quantizes it with a saturating, truncating ADC, so synthesized traces live on
 the ADC's LSB grid and tests can be bit-exact.
 
-``synth_batch`` synthesizes many actuations as one trace matrix, one row per
-``EffectiveTransient`` and each row with its own seeded noise draw;
+``drive_currents`` evaluates the closed form for many transients at once,
+one matrix row each. ``synth_batch`` builds on it to synthesize many
+actuations as one trace matrix, each row with its own seeded noise draw;
 ``synth_transient`` is its one-row form.
 """
 
@@ -25,6 +26,7 @@ import csv
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,9 +215,9 @@ def codes_to_current(codes: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndar
     return codes.astype(np.float64) / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
 
 
-@dataclass(frozen=True)
-class EffectiveTransient:
-    """Closed-form transient parameters after fault/wear/environment effects."""
+class EffectiveTransient(NamedTuple):
+    """Closed-form transient parameters after fault/wear/environment effects,
+    in the argument order of ``_drive_current``."""
 
     settling_ma: float
     rise_tau_ms: float
@@ -266,24 +268,25 @@ def effective_transient(p: ValveParams, fault: FaultCondition,
     return EffectiveTransient(settling, tau, depth, dip_time, p.dip_width, p.idle_current)
 
 
-def _constants(eff: EffectiveTransient) -> tuple:
-    """``_drive_current``'s parameters for one transient."""
-    return (eff.settling_ma, eff.rise_tau_ms, eff.dip_depth_ma, eff.dip_time_ms,
-            2.0 * eff.dip_width_ms ** 2, eff.idle_ma)
-
-
-def _drive_current(settling, tau, depth, dip_time, two_w2, idle, t) -> np.ndarray:
-    """The closed-form current at times ``t``. Pass ``_constants`` as scalars
-    for one transient, or as ``(n, 1)`` columns for one row per transient."""
+def _drive_current(settling, tau, depth, dip_time, width, idle, t) -> np.ndarray:
+    """The closed-form current at times ``t``. Pass an ``EffectiveTransient``
+    as scalars for one transient, or as ``(n, 1)`` columns for one row per
+    transient."""
     rise = settling * (1.0 - np.exp(-t / tau))
-    dip = depth * np.exp(-((t - dip_time) ** 2) / two_w2)
+    dip = depth * np.exp(-((t - dip_time) ** 2) / (2.0 * width ** 2))
     return np.where(t < 0.0, idle, idle + rise - dip)
+
+
+def drive_currents(transients: list[EffectiveTransient], t_ms: np.ndarray) -> np.ndarray:
+    """Noise-free current of every transient at times ``t_ms``, as one
+    ``(len(transients), len(t_ms))`` matrix evaluated column-wise."""
+    return _drive_current(*np.array(transients).T[:, :, None], t_ms)
 
 
 def transient_current(p: ValveParams, fault: FaultCondition, deg: DegradationState,
                       t_ms) -> np.ndarray:
     """Noise-free analog drive current at time(s) ``t_ms`` (actuation at 0)."""
-    return _drive_current(*_constants(effective_transient(p, fault, deg)),
+    return _drive_current(*effective_transient(p, fault, deg),
                           np.asarray(t_ms, dtype=np.float64))
 
 
@@ -308,8 +311,7 @@ def synth_batch(transients: list[EffectiveTransient], seeds: list[int], noise_st
     n_pre = round(_LEAD_MS * fs / 1000.0)
     n_post = round(_TRANSIENT_MS * fs / 1000.0)
     t = (np.arange(n_pre + n_post) - n_pre) * (1000.0 / fs)
-    columns = np.array([_constants(e) for e in transients]).T[:, :, None]
-    analog = _drive_current(*columns, t)
+    analog = drive_currents(transients, t)
     if noise_std > 0:
         analog = analog + np.array([np.random.default_rng(seed).normal(0.0, noise_std, t.size)
                                     for seed in seeds])

@@ -138,9 +138,9 @@ def reference_synth_features(params, fault, deg, noise_std, seed):
     last_err = None
     for attempt in range(models._SYNTH_RETRIES):
         trace = synth_transient(params, fault, deg, noise_std=noise_std, seed=seed + attempt)
-        results = extract_all(trace)
-        if results:
-            ft = results[0][1]
+        features, _ = extract_all(trace)
+        if features:
+            ft = features[0]
             return ft.di_dt, ft.auc, seed + attempt
         last_err = ExtractionError(f"no usable edge with seed {seed + attempt}")
     raise ExtractionError(

@@ -12,7 +12,7 @@ from conftest import constant_schedule, degradation_schedule, random_synthetic_t
 from reference import naive_extract_all
 from test_tinynn import finite_difference_check
 from valvehealth import models, tinynn
-from valvehealth.acquisition import max_cycles, run_acquisition
+from valvehealth.acquisition import buffer_fill_duration, max_cycles, run_acquisition
 from valvehealth.errors import (DegenerateTransientError, ModelFormatError,
                                 NoActuationError)
 from valvehealth.features import (ExtractionConfig, detect_rising_edges,
@@ -99,7 +99,7 @@ def test_criterion_6_lossless_acquisition():
 
         report = run_acquisition(iter(src), k, fs, consumer, clock="virtual")
         assert np.array_equal(np.concatenate(chunks), src)
-        assert report.lossless and report.banks_delivered >= 10
+        assert report.overrun_count == 0 and report.banks_delivered >= 10
 
     # a consumer holding banks beyond the fill duration loses data, counted
     held = []
@@ -111,7 +111,7 @@ def test_criterion_6_lossless_acquisition():
 
     slow_report = run_acquisition(iter(np.zeros(8 * k, dtype=int)), k, fs, starved,
                                   clock="virtual")
-    assert not slow_report.lossless and slow_report.overrun_count >= 1
+    assert slow_report.overrun_count >= 1
     ok(6, "100/10/1 Hz sines reconstruct exactly over >= 10 switches; "
           f"starved consumer -> {slow_report.overrun_count} counted overruns")
 
@@ -179,7 +179,7 @@ def test_criterion_10_end_to_end_monitor(trained_fault, trained_rul):
                                  noise_std=1.0, seed=1)
         _, report = run_monitor(iter(src), fault_model, rul_model, cfg_k)
         assert report.inference_time_per_buffer is not None
-        assert report.inference_time_per_buffer < report.buffer_fill_duration, \
+        assert report.inference_time_per_buffer < buffer_fill_duration(k, cfg_k.fs), \
             (k, f_op)
     ok(10, f"{len(mons)} events for {len(triggers)} actuations, first alarm at "
            f"cycle {mons[first_alarm].zero_index // 2000 * 5}; IT_pb < B_fd on "

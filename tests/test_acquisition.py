@@ -122,6 +122,11 @@ class TestPingPongBuffer:
         with pytest.raises(ParameterError):
             PingPongBuffer(0)
 
+    @pytest.mark.parametrize("k", [2.5, 4.0])
+    def test_non_integer_size_rejected(self, k):
+        with pytest.raises(ParameterError):
+            PingPongBuffer(k)
+
 
 class TestPushBlock:
     def test_block_that_exactly_fills(self):
@@ -262,13 +267,13 @@ class TestRunAcquisition:
 
             report = run_acquisition(iter(src), k, fs, consumer, clock="virtual")
             assert np.array_equal(np.concatenate(chunks), src)
-            assert report.lossless and report.overrun_count == 0
+            assert report.overrun_count == 0
             assert report.banks_delivered == 12
 
     def test_empty_source(self):
         report = run_acquisition(iter([]), 100, 1000.0, lambda h: None, clock="virtual")
         assert report.banks_delivered == 0
-        assert report.lossless
+        assert report.overrun_count == 0
 
     @pytest.mark.parametrize("clock", ["virtual", "realtime"])
     def test_default_call_releases_banks(self, clock):
@@ -277,7 +282,7 @@ class TestRunAcquisition:
         report = run_acquisition(np.arange(20, dtype=np.int32), 2, 1e3,
                                  lambda h: h.release(), clock=clock)
         assert report.banks_delivered == 10
-        assert report.overrun_count == 0 and report.lossless
+        assert report.overrun_count == 0
 
     def test_partial_bank_flushed(self):
         sizes = []
@@ -298,7 +303,6 @@ class TestRunAcquisition:
                 held.pop(0).release()
 
         report = run_acquisition(iter(range(1000)), 50, 1000.0, slow, clock="virtual")
-        assert not report.lossless
         assert report.overrun_count >= 1
 
     def test_it_pb_measured_and_under_fill(self):
@@ -306,7 +310,7 @@ class TestRunAcquisition:
                                  clock="virtual")
         assert report.inference_time_per_buffer is not None
         # microseconds of work vs a 1 s fill
-        assert report.inference_time_per_buffer < report.buffer_fill_duration
+        assert report.inference_time_per_buffer < buffer_fill_duration(1000, 1000.0)
 
     def test_bad_clock_rejected(self):
         with pytest.raises(ParameterError):
@@ -341,7 +345,7 @@ class TestRunAcquisition:
 
         report = run_acquisition(source(), k, fs, consumer, clock="realtime")
         assert report.banks_delivered == 6
-        assert report.lossless
+        assert report.overrun_count == 0
         assert report.producer_lag_max >= 0.03  # the stall shows as producer lag
 
     def test_realtime_hoarding_consumer_counts_overruns(self):
@@ -445,4 +449,4 @@ class TestConcurrency:
 
         report = run_acquisition(iter(src), k, fs, consumer, clock="realtime")
         assert np.array_equal(np.concatenate(chunks), src)
-        assert report.lossless
+        assert report.overrun_count == 0

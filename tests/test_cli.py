@@ -175,6 +175,21 @@ class TestTrainEvalInfer:
         assert payload["predicted_class"] in ("good", "spool_stuck",
                                               "spring_failure", "under_voltage")
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_learning_rate_rejected_before_training(self, capsys, tmp_path, rate):
+        data = tmp_path / "rul.csv"
+        run_cli(capsys, "gen-dataset", "--task", "rul", "--valves", "1",
+                "--failure-cycle", "100", "--seed", "1", "--out", str(data))
+        model = tmp_path / "m.pmnn"
+        code, out, err = run_cli(capsys, "train", "--task", "rul", "--data", str(data),
+                                 "--learning-rate", rate, "--out", str(model))
+        assert code == 1
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line.startswith("error: learning_rate must be finite and > 0")
+        assert not model.exists()
+        assert not (tmp_path / "m.pmnn.history.csv").exists()
+
     def test_kind_mismatch_is_usage_error(self, capsys, tmp_path):
         data = tmp_path / "fault.csv"
         run_cli(capsys, "gen-dataset", "--task", "fault",

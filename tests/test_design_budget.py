@@ -10,7 +10,7 @@ callers that want different values, and a raise of the bound below.
 import ast
 from pathlib import Path
 
-KNOB_BUDGET = 41
+KNOB_BUDGET = 37
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "valvehealth"
 
 

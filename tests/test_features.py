@@ -157,7 +157,7 @@ class TestProperties:
                             ("spool", FaultCondition(FaultKind.SPOOL_STUCK)),
                             ("uv12", FaultCondition.under_voltage(12.0))):
             tr = synth_transient(p, fault, FRESH)
-            (_, ft), = extract_all(tr)
+            (ft,), _ = extract_all(tr)
             feats[name] = (ft.di_dt, ft.auc)
         names = list(feats)
         for i in range(len(names)):
@@ -199,28 +199,27 @@ class TestProperties:
 class TestExtractAll:
     def test_good_trace_yields_one_feature_set(self):
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
-        results = extract_all(tr)
-        assert len(results) == 1
-        assert results[0][1].di_dt > 0
+        features, _ = extract_all(tr)
+        assert len(features) == 1
+        assert features[0].di_dt > 0
 
     def test_three_concatenated_actuations(self):
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
         from valvehealth.waveform import TransientTrace
         triple = TransientTrace(np.tile(tr.samples, 3), tr.sample_rate)
-        assert len(extract_all(triple)) == 3
+        assert len(extract_all(triple)[0]) == 3
 
     def test_flat_trace_empty(self):
         from valvehealth.waveform import TransientTrace
         flat = TransientTrace(np.zeros(500), 1000.0)
-        assert extract_all(flat) == []
+        assert extract_all(flat) == ([], [])
 
     def test_diagnostics_collected_not_raised(self):
         # an instant step detects but fails extraction; the sweep continues
         from valvehealth.waveform import TransientTrace
         sig = np.concatenate([np.zeros(100), np.full(200, 250.0)])
-        diags = []
-        results = extract_all(TransientTrace(sig, 1000.0), diagnostics=diags)
-        assert results == []
+        features, diags = extract_all(TransientTrace(sig, 1000.0))
+        assert features == []
         assert len(diags) == 1
         assert isinstance(diags[0][1], DegenerateTransientError)
 
@@ -228,24 +227,24 @@ class TestExtractAll:
 class TestFeatureCsv:
     def test_round_trip_compact(self, tmp_path):
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
-        results = extract_all(tr)
+        features, _ = extract_all(tr)
         path = tmp_path / "features.csv"
-        write_features_csv(results, path, full=False)
+        write_features_csv(features, path, full=False)
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 1
         assert list(rows[0]) == ["zero_index", "di_dt", "auc"]
-        assert int(rows[0]["zero_index"]) == results[0][0]
-        assert float(rows[0]["di_dt"]) == results[0][1].di_dt
-        assert float(rows[0]["auc"]) == results[0][1].auc
+        assert int(rows[0]["zero_index"]) == features[0].zero_index
+        assert float(rows[0]["di_dt"]) == features[0].di_dt
+        assert float(rows[0]["auc"]) == features[0].auc
 
     def test_full_columns(self, tmp_path):
         tr = synth_transient(ValveParams(), FaultCondition.good(), FRESH)
-        results = extract_all(tr)
+        features, _ = extract_all(tr)
         path = tmp_path / "features_full.csv"
-        write_features_csv(results, path, full=True)
+        write_features_csv(features, path, full=True)
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
-        ft = results[0][1]
+        ft = features[0]
         assert float(rows[0]["tu"]) == ft.tu
         assert float(rows[0]["ecv90"]) == ft.ecv90

@@ -112,7 +112,7 @@ class TestGenerators:
 
     def test_fault_zero_counts_rejected(self):
         with pytest.raises(ParameterError):
-            gen_fault_dataset(counts=(0, 0, 0, 0))
+            gen_fault_dataset(counts=(0, 0, 0, 0), seed=0)
 
     def test_fault_deterministic(self):
         a = gen_fault_dataset(counts=(10, 5, 5, 8), seed=11)
@@ -136,9 +136,9 @@ class TestGenerators:
 
     def test_rul_bad_args(self):
         with pytest.raises(ParameterError):
-            gen_rul_dataset(n_valves=0)
+            gen_rul_dataset(n_valves=0, seed=0)
         with pytest.raises(ParameterError):
-            gen_rul_dataset(n_valves=1, failure_cycle=4)
+            gen_rul_dataset(n_valves=1, seed=0, failure_cycle=4)
 
 
 class TestDatasetOracle:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import constant_schedule, degradation_schedule
+from valvehealth.acquisition import TimingReport, buffer_fill_duration
 from valvehealth.errors import ParameterError
 from valvehealth.features import ExtractionConfig
 from valvehealth.pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
@@ -48,7 +49,7 @@ class TestEventCompleteness:
                                      forced_regressor(5000.0), cfg)
         got = monitor_events(events)
         assert len(got) == len(triggers)
-        assert report.lossless
+        assert report.overrun_count == 0
         # detected edges sit at most one window before the true trigger
         for event, trigger in zip(got, triggers):
             assert trigger - 5 <= event.zero_index <= trigger + 1
@@ -69,7 +70,7 @@ class TestEventCompleteness:
                                      forced_classifier([9, 0, 0, 0]),
                                      forced_regressor(5000.0), cfg)
         assert events == []
-        assert report.lossless
+        assert report.overrun_count == 0
 
     @pytest.mark.parametrize("k", [1, 7, 150, 151, 1000])
     def test_block_and_sample_sources_identical_events(self, k, trained_fault, trained_rul):
@@ -84,7 +85,7 @@ class TestEventCompleteness:
 
         def run(source):
             events, report = run_monitor(source, trained_fault[0], trained_rul[0], cfg)
-            assert report.lossless
+            assert report.overrun_count == 0
             return monitor_events(events)
 
         ref = run(codes)
@@ -172,6 +173,11 @@ class TestDiagnostics:
         assert diags[0].reason == "DegenerateTransientError"
         assert len(mons) == 1
 
+    @pytest.mark.parametrize("k", [2.5, 1000.0])
+    def test_non_integer_bank_size_rejected(self, k):
+        with pytest.raises(ParameterError):
+            MonitorConfig(k=k, fs=1000.0, f_op=1.0)
+
     def test_model_kind_checked(self):
         cfg = MonitorConfig(k=100, fs=1000.0, f_op=1.0)
         with pytest.raises(ParameterError):
@@ -186,11 +192,12 @@ class TestTimingReport:
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
         codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 4),
                                    fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=8)
-        _, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
-                                forced_regressor(5000.0), cfg)
+        events, report = run_monitor(iter(codes), forced_classifier([9, 0, 0, 0]),
+                                     forced_regressor(5000.0), cfg)
         assert report.inference_time_per_buffer is not None
-        assert report.inference_time_per_cycle is not None
-        assert report.inference_time_per_buffer < report.buffer_fill_duration
+        it_pc = [e.it_pc for e in monitor_events(events)]
+        assert it_pc and all(t > 0 for t in it_pc)
+        assert report.inference_time_per_buffer < buffer_fill_duration(cfg.k, cfg.fs)
 
 
 class TestJsonEmission:
@@ -208,7 +215,7 @@ class TestJsonEmission:
         assert len(payload["fault_probs"]) == 4
         assert payload["alarm"] is True
         assert payload["it_pc_steps"] == 150  # deterministic under virtual clock
-        report_payload = json.loads(report_to_json(report, cfg))
+        report_payload = json.loads(report_to_json(report, cfg, events))
         assert report_payload["type"] == "timing_report"
         assert report_payload["b_fd_us"] == 3_000_000
         assert report_payload["f_op"] == 0.5
@@ -226,16 +233,31 @@ class TestJsonEmission:
 
     def test_realtime_report_has_producer_lag(self):
         cfg = MonitorConfig(k=500, fs=20_000.0, f_op=1.0, clock="realtime")
-        _, report = run_monitor(np.zeros(2000, dtype=np.int32), forced_classifier([9, 0, 0, 0]),
-                                forced_regressor(5000.0), cfg)
-        payload = json.loads(report_to_json(report, cfg))
+        events, report = run_monitor(np.zeros(2000, dtype=np.int32),
+                                     forced_classifier([9, 0, 0, 0]), forced_regressor(5000.0), cfg)
+        payload = json.loads(report_to_json(report, cfg, events))
         assert payload["banks_delivered"] == 4
         assert payload["producer_lag_max_us"] == round(report.producer_lag_max * 1e6) >= 0
         virtual = replace(cfg, clock="virtual")
-        _, report = run_monitor(np.zeros(2000, dtype=np.int32), forced_classifier([9, 0, 0, 0]),
-                                forced_regressor(5000.0), virtual)
+        events, report = run_monitor(np.zeros(2000, dtype=np.int32),
+                                     forced_classifier([9, 0, 0, 0]), forced_regressor(5000.0),
+                                     virtual)
         assert report.producer_lag_max is None
-        assert "producer_lag_max_us" not in json.loads(report_to_json(report, virtual))
+        assert "producer_lag_max_us" not in json.loads(report_to_json(report, virtual, events))
+
+    def test_realtime_report_reads_it_pc_from_events(self):
+        cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5, clock="realtime")
+        report = TimingReport(inference_time_per_buffer=0.001, overrun_count=0,
+                              banks_delivered=1, producer_lag_max=0.0)
+        events = [MonitorEvent(buffer_seq=0, zero_index=z, fault_probs=np.ones(4) / 4,
+                               predicted_class=FaultKind.GOOD, rul=900.0, alarm=False,
+                               it_pc=it_pc, timestamp_us=0)
+                  for z, it_pc in ((58, 0.002), (2058, 0.004))]
+        events.insert(1, DiagnosticEvent(0, 1058, "NoActuationError"))
+        payload = json.loads(report_to_json(report, cfg, events))
+        assert payload["it_pc_us"] == 3000 and payload["it_pb_us"] == 1000
+        assert payload["lossless"] is True and payload["b_fd_us"] == 3_000_000
+        assert json.loads(report_to_json(report, cfg, events[1:2]))["it_pc_us"] is None
 
     def test_diagnostic_json(self):
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)

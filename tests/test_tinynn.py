@@ -305,6 +305,17 @@ class TestTrain:
         with pytest.raises(ParameterError):
             TrainConfig(epochs=0)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), float("-inf"), 0.0])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ParameterError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    @pytest.mark.parametrize("name", ["epochs", "batch_size"])
+    @pytest.mark.parametrize("value", [1.5, 2.0])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ParameterError, match=name):
+            TrainConfig(**{name: value})
+
     def test_deterministic_history(self):
         x, y = random_batch(small_net(), seed=4, size=30)
         hists = []

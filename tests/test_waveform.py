@@ -164,7 +164,8 @@ class TestSynthTransient:
         adc = AdcConfig()
         p = ValveParams()
         tr = synth_transient(p, GOOD, FRESH)
-        (z, ft), = extract_all(tr)
+        (ft,), _ = extract_all(tr)
+        z = ft.zero_index
         t = (np.arange(tr.samples.size) - LEAD) * 1.0
         analog_upper = transient_current(p, GOOD, FRESH, t[z + 30: z + 50]).mean()
         analog_lower = transient_current(p, GOOD, FRESH, t[z - 50: z]).mean()
@@ -221,7 +222,7 @@ class TestSynthTransient:
         for s in (0.0, 0.2, 0.4, 0.6, 0.8, 1.0):
             deg = DegradationState(int(round(s * 1000)), 1000)
             tr = synth_transient(p, GOOD, deg)
-            (_, ft), = extract_all(tr)
+            (ft,), _ = extract_all(tr)
             aucs.append(ft.auc)
         assert all(a >= b for a, b in zip(aucs, aucs[1:]))
 
@@ -230,7 +231,7 @@ class TestSynthTransient:
         plateaus, slopes = [], []
         for v in (8.0, 10.0, 12.0, 14.0, 16.0):
             tr = synth_transient(p, FaultCondition.under_voltage(v), FRESH)
-            (_, ft), = extract_all(tr)
+            (ft,), _ = extract_all(tr)
             plateaus.append(tr.samples.max())
             slopes.append(ft.di_dt)
         assert all(a < b for a, b in zip(plateaus, plateaus[1:]))
@@ -239,8 +240,8 @@ class TestSynthTransient:
     def test_temperature_reduces_auc(self):
         cool = synth_transient(ValveParams(temperature=26.0), GOOD, FRESH)
         hot = synth_transient(ValveParams(temperature=80.0), GOOD, FRESH)
-        (_, ft_cool), = extract_all(cool)
-        (_, ft_hot), = extract_all(hot)
+        (ft_cool,), _ = extract_all(cool)
+        (ft_hot,), _ = extract_all(hot)
         assert ft_hot.auc < ft_cool.auc
 
     def test_pressure_lifts_peak(self):
