@@ -11,11 +11,18 @@ silent. ``run_acquisition`` owns the buffer; the consumer sees only handles.
 The producer moves data a block at a time: each block is at most the active
 bank's free space and is copied in with one slice assignment, so a bank
 costs one copy, not K per-sample stores. Under the realtime clock the
-producer sleeps once per block, until the block's last sample is due, and
-a bank handed to the consumer stays its own for one fill duration unless
-released first: a producer that wakes late and catches up waits for the
-release before reusing the bank, so an overrun always means the consumer
-held a bank for longer than ``K / fs``.
+producer writes each block into its own active bank as soon as the
+previous bank is handed over, which the consumer cannot see, then sleeps
+once, until the block's last sample is due; at the due time it only
+switches banks and puts the handle on a ``queue.SimpleQueue``, whose
+``put`` and ``get`` run in C. A bank handed to the consumer stays its own
+for one fill duration unless released first: a producer that wakes late
+and catches up waits for the release before reusing the bank, so an
+overrun always means the consumer held a bank for longer than ``K / fs``.
+A handle whose bank was reused before the consumer thread took it off the
+queue is counted as that overrun and never delivered, so a slow consumer
+skips the banks it missed instead of reading overwritten data and falling
+ever further behind.
 
 Timing algebra for a bank of K samples at rate fs with actuations at f_op:
 
@@ -80,6 +87,9 @@ class PingPongBuffer:
             raise ParameterError(f"bank size k must be an integer > 0, got {k!r}")
         self.k = k
         self._banks = [np.zeros(k, dtype=self.dtype), np.zeros(k, dtype=self.dtype)]
+        self._views = [bank.view() for bank in self._banks]  # what handles expose
+        for view in self._views:
+            view.setflags(write=False)
         self._active = 0
         self._write_pos = 0
         self._seq = 0
@@ -87,6 +97,7 @@ class PingPongBuffer:
         self._overruns = 0
         self._lock = threading.Lock()
         self._released = threading.Condition(self._lock)
+        self._waiting = False  # the producer waits in wait_incoming
 
     @property
     def overrun_count(self) -> int:
@@ -98,9 +109,9 @@ class PingPongBuffer:
         return self.k - self._write_pos
 
     def _hand_out(self, bank_index: int, length: int) -> BankHandle:
-        view = self._banks[bank_index][:length].view()
-        view.setflags(write=False)
-        handle = BankHandle(self, bank_index, self._seq, view)
+        view = self._views[bank_index]
+        handle = BankHandle(self, bank_index, self._seq,
+                            view if length == self.k else view[:length])
         self._held[bank_index] = handle
         self._seq += 1
         return handle
@@ -115,22 +126,33 @@ class PingPongBuffer:
         an overrun if the consumer still holds it (its outstanding handle
         then observes overwrites).
         """
-        block = np.asarray(codes)
+        return self._switch() if self._write(codes) else None
+
+    def _write(self, codes) -> bool:
+        """The write half of ``push_block``: the block lands in the active
+        bank, which no handle exposes, and the banks do not switch. Returns
+        whether the bank is now full."""
+        same = type(codes) is np.ndarray and codes.dtype == self.dtype
+        block = codes if same else np.asarray(codes)
         start = self._write_pos
         end = start + block.size
         if end > self.k:
             raise ParameterError(f"block of {block.size} exceeds the bank's "
                                  f"free space of {self.free}")
-        if block.size and block.dtype.kind not in "iu":
-            raise ParameterError(f"codes must be integers, got dtype {block.dtype}")
-        if block.size and not np.can_cast(block.dtype, self.dtype):
-            lo, hi = block.min(), block.max()
-            if not (self._range.min <= lo and hi <= self._range.max):
-                raise OverflowError(f"codes in [{lo}, {hi}] do not fit {self.dtype}")
+        if not same and block.size:
+            if block.dtype.kind not in "iu":
+                raise ParameterError(f"codes must be integers, got dtype {block.dtype}")
+            if not np.can_cast(block.dtype, self.dtype):
+                lo, hi = block.min(), block.max()
+                if not (self._range.min <= lo and hi <= self._range.max):
+                    raise OverflowError(f"codes in [{lo}, {hi}] do not fit {self.dtype}")
         self._banks[self._active][start:end] = block
         self._write_pos = end
-        if end < self.k:
-            return None
+        return end == self.k
+
+    def _switch(self) -> BankHandle:
+        """The switch half of ``push_block``, once the active bank is full:
+        hand it out and make the other bank active."""
         with self._lock:
             filled = self._active
             incoming = 1 - filled
@@ -157,13 +179,18 @@ class PingPongBuffer:
         with self._lock:
             if self._held[handle.bank_index] is handle:
                 self._held[handle.bank_index] = None
-                self._released.notify()
+                if self._waiting:
+                    self._released.notify()
 
     def wait_incoming(self, timeout: float) -> None:
         """Wait up to ``timeout`` seconds for the consumer to release the
         bank that the next switch reuses; returns at once if it is free."""
+        if self._held[1 - self._active] is None:  # only the producer hands a bank out
+            return
         with self._released:
+            self._waiting = True
             self._released.wait_for(lambda: self._held[1 - self._active] is None, timeout)
+            self._waiting = False
 
 
 @dataclass
@@ -187,7 +214,7 @@ class TimingReport:
 def _blocks(source, buf: PingPongBuffer):
     """``source`` in blocks of at most ``buf.free`` codes, each sized as it
     is drawn. An ndarray is sliced; any other iterable is collected into an
-    array of the dtype NumPy infers, so ``push_block`` checks both kinds of
+    array of the dtype NumPy infers, so the write checks both kinds of
     source alike."""
     if isinstance(source, np.ndarray):
         pos = 0
@@ -209,15 +236,17 @@ def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> Timin
     ``consumer(handle)`` is invoked for every filled bank and returns it
     with ``handle.release()``; a consumer that holds banks too long causes
     counted overruns instead of crashes. Each pass reads a block of at most the
-    active bank's free space and pushes it whole. With ``clock="virtual"``
+    active bank's free space and writes it whole. With ``clock="virtual"``
     the consumer runs inline and pushes are unpaced (deterministic, as fast
     as the machine allows); with ``"realtime"`` the consumer runs on its own
-    thread and the producer sleeps once per block, until the block's last
-    sample is due at ``fs`` on the wall clock, so each bank is handed over
-    when its last sample is due; before a switch it waits, for at most the
-    fill duration after the previous handover, for the consumer to release
-    the bank it reuses. A consumer that raises stops the producer and the
-    error is re-raised to the caller under either clock.
+    thread and the producer, after writing a block, sleeps once, until the
+    block's last sample is due at ``fs`` on the wall clock, so each bank is
+    handed over when its last sample is due; before a switch it waits, for
+    at most the fill duration after the previous handover, for the consumer
+    to release the bank it reuses. The consumer thread skips a handle whose
+    bank was reused while the handle waited for it; that reuse is already
+    an overrun. A consumer that raises stops the producer and the error is
+    re-raised to the caller under either clock.
     Wall-clock consumer durations are measured in both modes. A trailing
     partial bank is delivered at the end of the stream.
     """
@@ -236,12 +265,13 @@ def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> Timin
 
     realtime = clock == "realtime"
     if realtime:
-        handoff: queue.Queue = queue.Queue()
+        handoff: queue.SimpleQueue = queue.SimpleQueue()
 
         def worker():
             try:
                 for handle in iter(handoff.get, None):
-                    timed_consume(handle)
+                    if buf._held[handle.bank_index] is handle:  # else reused: an overrun
+                        timed_consume(handle)
             except Exception as err:  # re-raised by the producer's thread
                 crashed.append(err)
 
@@ -255,18 +285,18 @@ def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> Timin
     reuse_at = start  # a handed-over bank is the consumer's for B_fd unless released
     try:
         for block in _blocks(source, buf):
+            full = buf._write(block)  # into the active bank, which no handle exposes
             pushed += block.size
             if realtime:
                 due = start + (pushed - 1) / fs
                 delay = due - time.perf_counter()
                 if delay > 0:
                     time.sleep(delay)
-                if block.size == buf.free:  # this push switches banks
+                if full:  # the switch reuses the other bank
                     buf.wait_incoming(reuse_at - time.perf_counter())
                 lag_max = max(lag_max, time.perf_counter() - due)
-            handle = buf.push_block(block)
-            if handle is not None:
-                deliver(handle)
+            if full:
+                deliver(buf._switch())
                 reuse_at = time.perf_counter() + b_fd
             if crashed:
                 break

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -272,9 +273,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# What argparse itself takes for a negative number rather than a flag.
+_PLAIN_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--flag -inf`` as ``--flag=-inf``: argparse reads a value such as
+    ``-inf``, ``-nan`` or ``-1e3`` after a flag as an unknown flag."""
+    out: list[str] = []
+    for arg in argv:
+        flag = out[-1] if out else ""
+        if (flag.startswith("--") and len(flag) > 2 and "=" not in flag
+                and arg.startswith("-") and not _PLAIN_NEGATIVE.fullmatch(arg)
+                and _is_float(arg)):
+            out[-1] = f"{flag}={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (ParameterError, ShapeError, CsvFormatError, ModelFormatError,

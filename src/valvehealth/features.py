@@ -108,10 +108,10 @@ def detect_batch(matrix, cfg: ExtractionConfig) -> list[list[int]]:
     if n <= w:
         return edges
     csum = np.zeros((rows, n + 1))
-    np.cumsum(x, axis=1, out=csum[:, 1:])
+    np.add.accumulate(x, axis=1, out=csum[:, 1:])  # np.cumsum without its wrapper
     means = (csum[:, w:n] - csum[:, :n - w]) / w
-    hit_rows, hit_starts = np.nonzero((means >= cfg.edge_threshold)
-                                      & (x[:, :n - w] <= cfg.idle_max))
+    hit_rows, hit_starts = ((means >= cfg.edge_threshold)
+                            & (x[:, :n - w] <= cfg.idle_max)).nonzero()
     next_allowed = [0] * rows
     for r, z in zip(hit_rows.tolist(), hit_starts.tolist()):
         if z < next_allowed[r]:
@@ -186,14 +186,16 @@ def extract_batch(samples, zero_indices, cfg: ExtractionConfig) -> FeatureBatch:
     x = np.asarray(samples, dtype=np.float64)
     z = np.asarray(zero_indices, dtype=np.int64)
     lw, m = cfg.lower_window, cfg.upper_window_start
-    if z.size and z.min() < lw:
+    if z.size and np.minimum.reduce(z) < lw:
         raise ParameterError(f"zero_index needs {lw} samples of history")
-    if z.size and z.max() + cfg.frame > x.size:
+    if z.size and np.maximum.reduce(z) + cfg.frame > x.size:
         raise ParameterError(f"zero_index needs {cfg.frame} samples of lookahead")
 
     windows = x[(z - lw)[:, None] + np.arange(lw + cfg.frame)]
-    lower = windows[:, :lw].sum(axis=1) / lw
-    upper = windows[:, lw + m: lw + cfg.upper_window_end].sum(axis=1) / (
+    # ufunc reductions: what the ndarray methods call, without their wrappers
+    add, either = np.add.reduce, np.logical_or.reduce
+    lower = add(windows[:, :lw], axis=1) / lw
+    upper = add(windows[:, lw + m: lw + cfg.upper_window_end], axis=1) / (
         cfg.upper_window_end - m)
     delta = upper - lower
     ecv10 = 0.1 * delta + lower
@@ -205,19 +207,19 @@ def extract_batch(samples, zero_indices, cfg: ExtractionConfig) -> FeatureBatch:
     j = above.argmax(axis=1)  # first 10% crossing
     k = cfg.frame - 1 - below[:, ::-1].argmax(axis=1)  # last sample at or below 90%
     # the scan for k runs back to the crossing only: a k before j means no such sample
-    crosses, settles = above.any(axis=1), below.any(axis=1) & (k >= j)
+    crosses, settles = either(above, axis=1), either(below, axis=1) & (k >= j)
 
     error = np.zeros(z.size, dtype=np.int8)
     tl = j * cfg.ms_per_sample
     tu = (k + 1) * cfg.ms_per_sample
     failed = ~((delta > 0) & crosses & settles)
-    if failed.any():
+    if either(failed):
         error[~settles] = DEGENERATE
         error[~crosses] = NO_CROSSING
         error[delta <= 0] = NO_RISE
         tl[failed] = tu[failed] = np.nan
     di_dt = (ecv90 - ecv10) / (tu - tl)
-    auc = ((roi[:, 0] + roi[:, m]) / 2.0 + roi[:, 1:m].sum(axis=1)) / m
+    auc = ((roi[:, 0] + roi[:, m]) / 2.0 + add(roi[:, 1:m], axis=1)) / m
 
     return FeatureBatch(zero_index=z, ecv_lower_avg=lower, ecv_upper_avg=upper,
                         delta_ecv=delta, ecv10=ecv10, ecv90=ecv90,

@@ -21,15 +21,22 @@ Clocks: with ``virtual`` the producer is unpaced, the consumer runs inline
 and all emitted timestamps/latencies are deterministic (sample-derived microseconds
 and processing-step counts). Wall-clock latencies are still measured, IT_pb
 on the returned TimingReport and IT_pc on each event, so performance
-assertions work in either mode. With ``realtime`` the producer sleeps once
-per block, until the block's last sample is due on the wall clock, the
-consumer runs on its own thread, and the emitted times are measured
-microseconds.
+assertions work in either mode. With ``realtime`` the producer writes each
+block before it sleeps, until the block's last sample is due on the wall
+clock, the consumer runs on its own thread, and the emitted times are
+measured microseconds. A consumer that falls behind never sees the banks
+that were reused before it took them (each is a counted overrun); after
+such a gap the carried samples no longer adjoin the next bank, so they are
+dropped and the analysis restarts at that bank.
+
+Each event line is written from a template that gives the bytes
+``json.dumps`` would give, without the encoder's per-call set-up.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from dataclasses import dataclass, field
@@ -68,7 +75,7 @@ class MonitorConfig:
             raise ParameterError(f"clock must be 'virtual' or 'realtime', got {self.clock!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class MonitorEvent:
     """One inference record per detected actuation."""
 
@@ -83,7 +90,7 @@ class MonitorEvent:
     timestamp_us: int            # virtual: sample-derived; realtime: wall clock
 
 
-@dataclass
+@dataclass(slots=True)
 class DiagnosticEvent:
     """An edge whose feature extraction failed; the stream continues."""
 
@@ -115,6 +122,7 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
 
     events: list = []
     tail = np.empty(0)  # the previous bank's last ``carry`` samples, in mA
+    next_seq = 0        # the bank that ``tail`` runs into
     watermark = -1      # global index of the last edge emitted
 
     def emit(event):
@@ -123,9 +131,12 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
             on_event(event)
 
     def consume(handle):
-        nonlocal tail, watermark
+        nonlocal tail, next_seq, watermark
         ma = codes_to_current(handle.data, cfg.adc)
         handle.release()
+        if handle.seq != next_seq:  # the banks in between were reused, never delivered
+            tail = tail[:0]
+        next_seq = handle.seq + 1
         analysis = np.concatenate((tail, ma))
         offset = handle.seq * cfg.k - tail.size
         edges = [z for z in detect_rising_edges(analysis, excfg)
@@ -137,16 +148,16 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
             extract_share = (time.perf_counter() - t0) / len(edges)
             for i, z in enumerate(edges):
                 global_z = offset + z
-                err = batch.error_at(i)
-                if err is not None:
-                    emit(DiagnosticEvent(handle.seq, global_z, type(err).__name__))
+                if batch.error[i]:
+                    reason = type(batch.error_at(i)).__name__
+                    emit(DiagnosticEvent(handle.seq, global_z, reason))
                     continue
                 t0 = time.perf_counter()
                 row = np.array([batch.di_dt[i], batch.auc[i]])
                 probs = tinynn.infer(fault_model, row)
                 rul = max(float(tinynn.infer(rul_model, row)[0]), 0.0)
                 elapsed = extract_share + time.perf_counter() - t0
-                alarm = (float(probs[1:].max()) >= cfg.fault_alarm_threshold
+                alarm = (float(np.maximum.reduce(probs[1:])) >= cfg.fault_alarm_threshold
                          or rul < cfg.rul_alarm_threshold)
                 if cfg.clock == "virtual":
                     stamp = round(global_z / cfg.fs * 1e6)
@@ -161,27 +172,32 @@ def run_monitor(source, fault_model: Mlp, rul_model: Mlp, cfg: MonitorConfig,
     return events, run_acquisition(source, cfg.k, cfg.fs, consume, clock=cfg.clock)
 
 
+# A MonitorEvent line in ``json.dumps``' key order and separators; the
+# template skips the encoder's per-call set-up, which is most of its cost.
+_EVENT_LINE = ('{"type": "event", "buffer_seq": %d, "zero_index": %d, '
+               '"fault_probs": [%s], "predicted_class": %s, "rul": %s, "alarm": %s, '
+               '"timestamp_us": %d, "%s": %d}')
+_CLASS_JSON = {kind: json.dumps(kind.value) for kind in FaultKind}
+
+
 def event_to_json(event, cfg: MonitorConfig, excfg: ExtractionConfig) -> str:
-    """One JSON line per event; virtual-clock latencies are step counts.
+    """One JSON line per event, byte for byte what ``json.dumps`` writes;
+    virtual-clock latencies are step counts.
     ``excfg`` is ``ExtractionConfig.for_sample_rate(cfg.fs)``."""
     if isinstance(event, DiagnosticEvent):
         return json.dumps({"type": "diagnostic", "buffer_seq": event.buffer_seq,
                            "zero_index": event.zero_index, "reason": event.reason})
-    payload = {
-        "type": "event",
-        "buffer_seq": event.buffer_seq,
-        "zero_index": event.zero_index,
-        "fault_probs": [float(p) for p in event.fault_probs],
-        "predicted_class": event.predicted_class.value,
-        "rul": float(event.rul),
-        "alarm": bool(event.alarm),
-        "timestamp_us": event.timestamp_us,
-    }
     if cfg.clock == "virtual":
-        payload["it_pc_steps"] = excfg.lower_window + excfg.frame
+        latency = ("it_pc_steps", excfg.lower_window + excfg.frame)
     else:
-        payload["it_pc_us"] = round(event.it_pc * 1e6)
-    return json.dumps(payload)
+        latency = ("it_pc_us", round(event.it_pc * 1e6))
+    probs, rul = list(map(float, event.fault_probs)), float(event.rul)
+    # json.dumps writes a finite float as its repr
+    number = repr if all(map(math.isfinite, probs)) and math.isfinite(rul) else json.dumps
+    return _EVENT_LINE % (
+        event.buffer_seq, event.zero_index, ", ".join(map(number, probs)),
+        _CLASS_JSON[event.predicted_class], number(rul),
+        "true" if event.alarm else "false", event.timestamp_us, *latency)
 
 
 def report_to_json(report: TimingReport, cfg: MonitorConfig, events) -> str:

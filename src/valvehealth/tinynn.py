@@ -183,14 +183,16 @@ def _layers(model: Mlp, h: np.ndarray):
 def infer(model: Mlp, x) -> np.ndarray:
     """Run the network on one feature vector or a (n, in_dim) batch."""
     x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise ParameterError("input must be finite")
     single = x.ndim == 1
     batch = x[None, :] if single else x
     if batch.ndim != 2 or batch.shape[1] != model.in_dim:
         raise ShapeError(f"expected {model.in_dim} input features, got shape {x.shape}")
-    out = _layers(model, _scale(model, batch))[0][-1]
-    return out[0] if single else out
+    h = _scale(model, batch)
+    for spec, w, b in zip(model.layers, model.weights, model.biases):  # _layers, lean
+        h = _activate(spec, h @ w.T + b)[0]
+    return h[0].copy() if single else h  # a row view would keep its matrix alive
 
 
 def _loss(kind: ModelKind, y: np.ndarray, y_hat: np.ndarray):

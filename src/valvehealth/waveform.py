@@ -23,6 +23,7 @@ actuations as one trace matrix, each row with its own seeded noise draw;
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -167,6 +168,15 @@ class AdcConfig:
     def max_code(self) -> int:
         return (1 << self.bits) - 1
 
+    @functools.cached_property
+    def _currents(self) -> np.ndarray:
+        """The mA value of every code, read-only: ``code / max_code *
+        full_scale / gain * 1000``, computed element by element in that order."""
+        codes = np.arange(self.max_code + 1, dtype=np.float64)
+        table = codes / self.max_code * self.full_scale / self.gain * 1000.0
+        table.setflags(write=False)
+        return table
+
 
 @dataclass(frozen=True)
 class TransientTrace:
@@ -208,11 +218,16 @@ def current_to_codes(i_ma: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndarr
 
 
 def codes_to_current(codes: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndarray:
-    """Vectorized raw-code to mA conversion."""
+    """Vectorized raw-code to mA conversion, a lookup in the table of every
+    code's current that ``cfg`` builds once."""
     codes = np.asarray(codes)
-    if codes.size and (codes.min() < 0 or codes.max() > cfg.max_code):
-        raise ParameterError(f"codes must be in [0, {cfg.max_code}]")
-    return codes.astype(np.float64) / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
+    if codes.dtype.kind not in "iu":
+        raise ParameterError(f"codes must be integers, got dtype {codes.dtype}")
+    table = cfg._currents
+    if codes.size and (np.minimum.reduce(codes, axis=None) < 0
+                       or np.maximum.reduce(codes, axis=None) >= table.size):
+        raise ParameterError(f"codes must be in [0, {table.size - 1}]")
+    return table.take(codes)
 
 
 class EffectiveTransient(NamedTuple):

@@ -175,7 +175,7 @@ class TestTrainEvalInfer:
         assert payload["predicted_class"] in ("good", "spool_stuck",
                                               "spring_failure", "under_voltage")
 
-    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    @pytest.mark.parametrize("rate", ["nan", "inf", "-inf"])
     def test_non_finite_learning_rate_rejected_before_training(self, capsys, tmp_path, rate):
         data = tmp_path / "rul.csv"
         run_cli(capsys, "gen-dataset", "--task", "rul", "--valves", "1",
@@ -302,6 +302,16 @@ class TestTiming:
     def test_bad_value_is_runtime_error(self, capsys):
         code, _, err = run_cli(capsys, "timing", "--k", "0", "--fop", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-1e3", "-5"])
+    def test_negative_value_after_flag_is_the_flags_value(self, capsys, value):
+        # argparse alone reads "-inf" after a flag as an unknown flag (exit 2)
+        spaced = run_cli(capsys, "timing", "--k", "100", "--fop", value)
+        assert spaced == run_cli(capsys, "timing", "--k", "100", f"--fop={value}")
+        code, out, err = spaced
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestBadNumbers:

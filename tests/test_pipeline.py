@@ -1,4 +1,6 @@
+import itertools
 import json
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -7,13 +9,14 @@ import pytest
 from conftest import constant_schedule, degradation_schedule
 from valvehealth.acquisition import TimingReport, buffer_fill_duration
 from valvehealth.errors import ParameterError
-from valvehealth.features import ExtractionConfig
+from valvehealth.features import ExtractionConfig, detect_rising_edges, extract_batch
 from valvehealth.pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
                                   event_to_json, report_to_json, run_monitor,
                                   scenario_source)
-from valvehealth.tinynn import Activation, LayerSpec, Mlp, ModelKind
+from valvehealth.tinynn import Activation, LayerSpec, Mlp, ModelKind, infer
 from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
-                                  ValveParams, current_to_codes, transient_current)
+                                  ValveParams, codes_to_current, current_to_codes,
+                                  transient_current)
 
 
 # A stock valve with 1 mA of noise, for scenario_source.
@@ -187,6 +190,31 @@ class TestDiagnostics:
                         forced_classifier([1, 0, 0, 0]), cfg)
 
 
+class TestRealtimeGaps:
+    def test_slow_consumer_emits_whole_stream_events(self, trained_fault, trained_rul):
+        # on_event stalls the consumer for 3.5 bank fills after each event, so
+        # banks are reused before it takes them and it never sees them; at
+        # such a gap the monitor drops its carried samples, so each event it
+        # emits is, bit for bit, the event of that edge in the whole stream
+        cfg = MonitorConfig(k=100, fs=10_000.0, f_op=8.0, clock="realtime")
+        codes, _ = scenario_source(constant_schedule(FaultCondition.good(), 6),
+                                   fs=cfg.fs, f_op=cfg.f_op, **STOCK_VALVE, seed=3)
+        fault_model, rul_model = trained_fault[0], trained_rul[0]
+        events, report = run_monitor(codes, fault_model, rul_model, cfg,
+                                     on_event=lambda event: time.sleep(0.035))
+        assert report.banks_delivered < codes.size // cfg.k
+        got = monitor_events(events)
+        assert got and len(got) == len(events)
+        excfg = ExtractionConfig.for_sample_rate(cfg.fs)
+        ma = codes_to_current(codes)
+        assert {e.zero_index for e in got} <= set(detect_rising_edges(ma, excfg))
+        for event in got:
+            batch = extract_batch(ma, [event.zero_index], excfg)
+            row = np.array([batch.di_dt[0], batch.auc[0]])
+            assert event.fault_probs.tobytes() == infer(fault_model, row).tobytes()
+            assert event.rul == max(float(infer(rul_model, row)[0]), 0.0)
+
+
 class TestTimingReport:
     def test_monitor_report_measures_wall_time(self):
         cfg = MonitorConfig(k=2000, fs=1000.0, f_op=0.5)
@@ -258,6 +286,31 @@ class TestJsonEmission:
         assert payload["it_pc_us"] == 3000 and payload["it_pb_us"] == 1000
         assert payload["lossless"] is True and payload["b_fd_us"] == 3_000_000
         assert json.loads(report_to_json(report, cfg, events[1:2]))["it_pc_us"] is None
+
+    @pytest.mark.parametrize("clock", ["virtual", "realtime"])
+    def test_event_line_has_the_bytes_of_json_dumps(self, clock):
+        # the template against the payload json.dumps writes, on extreme,
+        # signed-zero and non-finite floats, every class and both alarm values
+        cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5, clock=clock)
+        excfg = ExtractionConfig.for_sample_rate(cfg.fs)
+        probs_cases = [np.array([5e-324, 1e308, -0.0, 0.1]), np.array([0.7, 0.1, 0.1, 0.1]),
+                       np.array([1 / 3, 2 / 3, 0.0, 1e-17]),
+                       np.array([np.nan, np.inf, -np.inf, 0.5])]
+        ruls = [-0.0, 0.0, 5e-324, 1e308, 1234.5678, np.float64(7.0), np.inf, np.nan]
+        for kind, alarm, probs, rul in itertools.product(FaultKind, (False, np.True_),
+                                                         probs_cases, ruls):
+            event = MonitorEvent(buffer_seq=7, zero_index=123456, fault_probs=probs,
+                                 predicted_class=kind, rul=rul, alarm=alarm,
+                                 it_pc=0.0012345, timestamp_us=1792463013372912)
+            payload = {"type": "event", "buffer_seq": 7, "zero_index": 123456,
+                       "fault_probs": [float(p) for p in probs],
+                       "predicted_class": kind.value, "rul": float(rul),
+                       "alarm": bool(alarm), "timestamp_us": 1792463013372912}
+            if clock == "virtual":
+                payload["it_pc_steps"] = excfg.lower_window + excfg.frame
+            else:
+                payload["it_pc_us"] = 1234
+            assert event_to_json(event, cfg, excfg) == json.dumps(payload)
 
     def test_diagnostic_json(self):
         cfg = MonitorConfig(k=3000, fs=1000.0, f_op=0.5)

@@ -9,8 +9,8 @@ from valvehealth import models
 from valvehealth.errors import (ModelFormatError, ParameterError, ShapeError,
                                 TrainingDivergedError)
 from valvehealth.tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
-                                _activate, _loss, _loss_and_grads, _rmsprop_step, _scale,
-                                _softmax, deserialize, infer, new_mlp, parameter_counts,
+                                _activate, _layers, _loss, _loss_and_grads, _rmsprop_step,
+                                _scale, _softmax, deserialize, infer, new_mlp, parameter_counts,
                                 restore, save, serialize, train)
 
 CLASSIFIER, REGRESSOR = ModelKind.CLASSIFIER, ModelKind.REGRESSOR
@@ -207,6 +207,19 @@ class TestInfer:
                      m.scaler_mean * 10.0, m.scaler_std * 10.0, m.kind)
         out = infer(scaled, (x - m.scaler_mean) * 10.0 + m.scaler_mean * 10.0)
         assert np.allclose(out, base, atol=1e-9)
+
+    @pytest.mark.parametrize("name", ["fault", "rul"])
+    def test_equals_training_forward_pass_bit_for_bit(self, name, trained_fault, trained_rul):
+        # infer's lean layer loop against the forward pass that training runs,
+        # on the production shapes with trained weights and scalers
+        model = (trained_fault if name == "fault" else trained_rul)[0]
+        noise = np.random.default_rng(11).normal(0.0, 1.0, (5000, 2))
+        rows = noise * model.scaler_std + model.scaler_mean
+        expected = _layers(model, _scale(model, rows))[0][-1]
+        assert infer(model, rows).tobytes() == expected.tobytes()
+        for row in rows:
+            want = _layers(model, _scale(model, row[None, :]))[0][-1][0]
+            assert infer(model, row).tobytes() == want.tobytes()
 
     def test_batch_matches_single(self):
         m = small_net(seed=7)

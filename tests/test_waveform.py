@@ -91,6 +91,23 @@ class TestAdc:
         for c, b in zip(codes, back):
             assert b == raw_to_current(int(c), adc)
 
+    def test_table_lookup_equals_formula_on_every_code(self):
+        adc = AdcConfig()
+        codes = np.arange(adc.max_code + 1, dtype=np.int32)
+        formula = codes.astype(np.float64) / adc.max_code * adc.full_scale / adc.gain * 1000.0
+        assert codes_to_current(codes, adc).tobytes() == formula.tobytes()
+        assert codes_to_current(codes.astype(np.int64)).tobytes() == formula.tobytes()
+        assert codes_to_current(codes.reshape(64, 64)).tobytes() == formula.tobytes()
+
+    @pytest.mark.parametrize("codes", [[-1], [4096], [0, 4096, 5], np.array([-1], np.int8)])
+    def test_out_of_range_codes_rejected(self, codes):
+        with pytest.raises(ParameterError):
+            codes_to_current(np.asarray(codes))
+
+    def test_non_integer_codes_rejected(self):
+        with pytest.raises(ParameterError):
+            codes_to_current(np.array([100.0, 200.0]))
+
     def test_bits_bounds(self):
         with pytest.raises(ParameterError):
             AdcConfig(bits=7)
