@@ -19,8 +19,8 @@ from .pipeline import (DiagnosticEvent, MonitorConfig, MonitorEvent,
                        run_monitor, scenario_source)
 from .tinynn import (Activation, LayerSpec, Mlp, ModelKind, TrainConfig,
                      TrainHistory, infer, restore, save, train)
-from .waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
-                       TransientTrace, ValveParams, current_to_voltage,
+from .waveform import (BOARD_ADC, AdcConfig, DegradationState, FaultCondition,
+                       FaultKind, TransientTrace, ValveParams, current_to_voltage,
                        sensor_gain, synth_transient)
 
 __version__ = "0.1.0"

@@ -35,9 +35,9 @@ _SCENARIO_CHOICES = _FAULT_CHOICES + ["degradation"]
 
 def _fault_condition(name: str, voltage: float | None) -> FaultCondition:
     kind = FaultKind(name)
-    if kind is FaultKind.UNDER_VOLTAGE:
-        return FaultCondition.under_voltage(12.0 if voltage is None else voltage)
-    return FaultCondition(kind)
+    if kind is FaultKind.UNDER_VOLTAGE and voltage is None:
+        voltage = 12.0
+    return FaultCondition(kind, voltage)
 
 
 def _cmd_simulate(args) -> int:

@@ -57,7 +57,6 @@ class Dataset:
     x: np.ndarray                # (n, 2): di_dt, auc
     y: np.ndarray                # int class indices or float remaining cycles
     kind: str
-    provenance: list[str]
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -73,8 +72,7 @@ class Dataset:
         return self.x.shape[0]
 
     def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(self.x[idx], self.y[idx], self.kind,
-                       [self.provenance[i] for i in idx])
+        return Dataset(self.x[idx], self.y[idx], self.kind)
 
 
 @dataclass
@@ -152,13 +150,11 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
     Rows are synthesized ``_SYNTH_CHUNK`` at a time as one trace matrix,
     which is scanned for edges in one call; every edge found is extracted
     in one batch and a row keeps its first clean edge. Rows without one are
-    resampled with the next seed, up to ``_SYNTH_RETRIES`` seeds. Returns
-    ``(x, used_seeds)``.
+    resampled with the next seed, up to ``_SYNTH_RETRIES`` seeds.
     """
     transients = [effective_transient(*c) for c in conditions]
     cfg = ExtractionConfig.for_sample_rate(_SYNTH_FS)
     x = np.empty((len(transients), 2))
-    used = list(seeds)
     for start in range(0, len(transients), _SYNTH_CHUNK):
         todo = np.arange(start, min(start + _SYNTH_CHUNK, len(transients)))
         for attempt in range(_SYNTH_RETRIES):
@@ -175,8 +171,6 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
             done = todo[found]
             x[done, 0] = batch.di_dt[clean][first]
             x[done, 1] = batch.auc[clean][first]
-            for i in done:
-                used[i] = seeds[i] + attempt
             todo = np.delete(todo, found)
             if todo.size == 0:
                 break
@@ -184,7 +178,7 @@ def _synth_features(conditions: list, noise_std: float, seeds: list[int]):
             last_err = ExtractionError(f"no usable edge with seed {seeds[todo[0]] + attempt}")
             raise ExtractionError(
                 f"extraction failed for {_SYNTH_RETRIES} consecutive seeds") from last_err
-    return x, used
+    return x
 
 
 def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, *, seed: int,
@@ -204,7 +198,7 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, *, seed: int,
     rng = np.random.default_rng(seed)
     fresh = DegradationState(cycle=0, failure_cycle=1)
 
-    conditions, seeds, ys, kinds = [], [], [], []
+    conditions, seeds, ys = [], [], []
     for class_idx, (kind, count) in enumerate(zip(FAULT_CLASSES, counts)):
         for _ in range(count):
             valve = _jittered(rng, base, 0.10)
@@ -215,10 +209,7 @@ def gen_fault_dataset(counts=DEFAULT_FAULT_COUNTS, *, seed: int,
             conditions.append((valve, fault, fresh))
             seeds.append(int(rng.integers(2 ** 31)))
             ys.append(class_idx)
-            kinds.append(kind)
-    x, used = _synth_features(conditions, noise_std, seeds)
-    prov = [f"synthetic:{kind.value}:seed={s}" for kind, s in zip(kinds, used)]
-    return Dataset(x, np.asarray(ys), "fault", prov)
+    return Dataset(_synth_features(conditions, noise_std, seeds), np.asarray(ys), "fault")
 
 
 def gen_rul_dataset(n_valves: int, seed: int, failure_cycle: int = 1500,
@@ -237,18 +228,15 @@ def gen_rul_dataset(n_valves: int, seed: int, failure_cycle: int = 1500,
     base = ValveParams()
     rng = np.random.default_rng(seed)
 
-    conditions, seeds, ys, labels = [], [], [], []
-    for valve_idx in range(n_valves):
+    conditions, seeds, ys = [], [], []
+    for _ in range(n_valves):
         valve = _jittered(rng, base, 0.02)
         for cycle in range(0, failure_cycle, _RUL_CYCLE_STEP):
             deg = DegradationState(cycle=cycle, failure_cycle=failure_cycle)
             conditions.append((valve, FaultCondition.good(), deg))
             seeds.append(int(rng.integers(2 ** 31)))
             ys.append(float(failure_cycle - cycle))
-            labels.append(f"synthetic:valve={valve_idx}:cycle={cycle}")
-    x, used = _synth_features(conditions, noise_std, seeds)
-    prov = [f"{label}:seed={s}" for label, s in zip(labels, used)]
-    return Dataset(x, np.asarray(ys), "rul", prov)
+    return Dataset(_synth_features(conditions, noise_std, seeds), np.asarray(ys), "rul")
 
 
 def evaluate(model: Mlp, test: Dataset) -> FaultReport | RulReport:
@@ -355,5 +343,4 @@ def read_dataset_csv(path) -> Dataset:
             except ValueError:
                 raise CsvFormatError(f"expected integer cycles, got {raw!r}",
                                      line=line_no) from None
-    prov = [f"import:{path}:{i}" for i in range(len(xs))]
-    return Dataset(np.asarray(xs), np.asarray(ys), kind, prov)
+    return Dataset(np.asarray(xs), np.asarray(ys), kind)

@@ -39,7 +39,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from .features import ExtractionConfig, detect_rising_edges, extract_batch
 from .features import extract_features  # noqa: F401
 from .models import FAULT_CLASSES
 from .tinynn import Mlp, ModelKind
-from .waveform import (AdcConfig, FaultKind, ValveParams, codes_to_current,
+from .waveform import (BOARD_ADC, AdcConfig, FaultKind, ValveParams, codes_to_current,
                        current_to_codes, drive_currents, effective_transient)
 
 
@@ -63,7 +63,7 @@ class MonitorConfig:
     rul_alarm_threshold: float = 100.0   # cycles
     fault_alarm_threshold: float = 0.5   # probability of any non-good class
     clock: str = "virtual"
-    adc: AdcConfig = field(default_factory=AdcConfig)
+    adc: AdcConfig = BOARD_ADC
 
     def __post_init__(self):
         if not isinstance(self.k, numbers.Integral) or self.k <= 0:

@@ -12,7 +12,8 @@ The transient model is a first-order rise minus a Gaussian notch:
 for t >= 0 (actuation at t = 0), idle before. The sensing chain converts
 current to a voltage through a shunt amplifier (gain = Rs * Rl / 1 kOhm) and
 quantizes it with a saturating, truncating ADC, so synthesized traces live on
-the ADC's LSB grid and tests can be bit-exact.
+the ADC's LSB grid and tests can be bit-exact. The board has one such chain,
+``BOARD_ADC``: a 12-bit ADC over 3.3 V behind a gain of 12.22.
 
 ``drive_currents`` evaluates the closed form for many transients at once,
 one matrix row each. ``synth_batch`` builds on it to synthesize many
@@ -154,9 +155,9 @@ class DegradationState:
 class AdcConfig:
     """Shunt-amplifier gain plus ADC sizing of the sensing chain."""
 
-    full_scale: float = 3.3     # volts
-    bits: int = 12
-    gain: float = 12.22         # dimensionless, from sensor_gain()
+    full_scale: float  # volts
+    bits: int
+    gain: float        # dimensionless, from sensor_gain()
 
     def __post_init__(self):
         if not 8 <= self.bits <= 16:
@@ -176,6 +177,9 @@ class AdcConfig:
         table = codes / self.max_code * self.full_scale / self.gain * 1000.0
         table.setflags(write=False)
         return table
+
+
+BOARD_ADC = AdcConfig(full_scale=3.3, bits=12, gain=12.22)
 
 
 @dataclass(frozen=True)
@@ -210,14 +214,14 @@ def current_to_voltage(i_ma: float, gain: float) -> float:
     return i_ma / 1000.0 * gain
 
 
-def current_to_codes(i_ma: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndarray:
-    """Vectorized analog-current to raw-code conversion."""
-    v = np.asarray(i_ma, dtype=np.float64) / 1000.0 * cfg.gain
-    clamped = np.clip(v, 0.0, cfg.full_scale)
-    return np.floor(clamped / cfg.full_scale * cfg.max_code).astype(np.int32)
+def current_to_codes(i_ma: np.ndarray) -> np.ndarray:
+    """Vectorized analog-current to raw-code conversion through ``BOARD_ADC``."""
+    v = np.asarray(i_ma, dtype=np.float64) / 1000.0 * BOARD_ADC.gain
+    clamped = np.clip(v, 0.0, BOARD_ADC.full_scale)
+    return np.floor(clamped / BOARD_ADC.full_scale * BOARD_ADC.max_code).astype(np.int32)
 
 
-def codes_to_current(codes: np.ndarray, cfg: AdcConfig = AdcConfig()) -> np.ndarray:
+def codes_to_current(codes: np.ndarray, cfg: AdcConfig = BOARD_ADC) -> np.ndarray:
     """Vectorized raw-code to mA conversion, a lookup in the table of every
     code's current that ``cfg`` builds once."""
     codes = np.asarray(codes)
@@ -314,7 +318,7 @@ def synth_batch(transients: list[EffectiveTransient], seeds: list[int], noise_st
     transient, sampled at ``fs`` Hz: room for the 50 ms pre-actuation
     average and the 100 ms region of interest. Gaussian noise
     (``noise_std`` mA) is added to the analog value before quantization
-    through the default ``AdcConfig``; row i draws it from
+    through ``BOARD_ADC``; row i draws it from
     ``default_rng(seeds[i])``, so a row does not depend on the others.
     """
     _require_finite("noise_std", noise_std)

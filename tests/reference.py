@@ -11,7 +11,7 @@ these bit-for-bit on codes and indices and to 1e-9 on reals.
 per-row synthesis loop: one trace synthesized, scanned and extracted at a
 time, resampled with the next seed until an edge extracts cleanly. The
 production generators synthesize and extract a whole dataset at once and
-must give the same rows, targets and provenance.
+must give the same rows and targets.
 
 ``reference_train`` is the training loop written one array at a time: each
 weight and bias gets its own RMSProp update and float32 snap, every forward
@@ -31,26 +31,32 @@ from valvehealth.errors import (DegenerateTransientError, ExtractionError,
                                 NoActuationError, ParameterError, TrainingDivergedError)
 from valvehealth.features import ExtractionConfig, extract_all
 from valvehealth.tinynn import Activation, ModelKind
-from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition, FaultKind,
+from valvehealth.waveform import (DegradationState, FaultCondition, FaultKind,
                                   ValveParams, synth_transient)
 
+# The board's sensing chain, written out here rather than read from the
+# program: a 12-bit ADC over 3.3 V behind a shunt-amplifier gain of 12.22.
+FULL_SCALE_V = 3.3
+MAX_CODE = (1 << 12) - 1
+GAIN = 12.22
 
-def adc_quantize(v: float, cfg: AdcConfig = AdcConfig()) -> int:
+
+def adc_quantize(v: float) -> int:
     """Truncating, saturating conversion of a voltage to a raw ADC code."""
-    clamped = min(max(v, 0.0), cfg.full_scale)
-    return int(math.floor(clamped / cfg.full_scale * cfg.max_code))
+    clamped = min(max(v, 0.0), FULL_SCALE_V)
+    return int(math.floor(clamped / FULL_SCALE_V * MAX_CODE))
 
 
-def raw_to_current(code: int, cfg: AdcConfig = AdcConfig()) -> float:
+def raw_to_current(code: int) -> float:
     """Invert the sensing chain: raw code back to drive current in mA."""
-    if not 0 <= code <= cfg.max_code:
-        raise ParameterError(f"code must be in [0, {cfg.max_code}], got {code}")
-    return code / cfg.max_code * cfg.full_scale / cfg.gain * 1000.0
+    if not 0 <= code <= MAX_CODE:
+        raise ParameterError(f"code must be in [0, {MAX_CODE}], got {code}")
+    return code / MAX_CODE * FULL_SCALE_V / GAIN * 1000.0
 
 
-def lsb_ma(cfg: AdcConfig = AdcConfig()) -> float:
+def lsb_ma() -> float:
     """Current step of one ADC code, in mA."""
-    return cfg.full_scale / cfg.max_code / cfg.gain * 1000.0
+    return FULL_SCALE_V / MAX_CODE / GAIN * 1000.0
 
 
 def naive_mean(samples, start, stop):
@@ -148,11 +154,11 @@ def reference_synth_features(params, fault, deg, noise_std, seed):
 
 
 def reference_fault_dataset(counts, seed, noise_std):
-    """``gen_fault_dataset`` one row at a time: ``(x, y, provenance,
-    resampled row count)``."""
+    """``gen_fault_dataset`` one row at a time: ``(x, y, resampled row
+    count)``."""
     rng = np.random.default_rng(seed)
     fresh = DegradationState(cycle=0, failure_cycle=1)
-    xs, ys, prov, resampled = [], [], [], 0
+    xs, ys, resampled = [], [], 0
     for class_idx, (kind, count) in enumerate(zip(models.FAULT_CLASSES, counts)):
         for _ in range(count):
             valve = models._jittered(rng, ValveParams(), 0.10)
@@ -165,17 +171,16 @@ def reference_fault_dataset(counts, seed, noise_std):
                                                         sample_seed)
             xs.append((di_dt, auc))
             ys.append(class_idx)
-            prov.append(f"synthetic:{kind.value}:seed={used}")
             resampled += used != sample_seed
-    return np.asarray(xs), np.asarray(ys), prov, resampled
+    return np.asarray(xs), np.asarray(ys), resampled
 
 
 def reference_rul_dataset(n_valves, seed, failure_cycle, cycle_step, noise_std):
-    """``gen_rul_dataset`` one row at a time: ``(x, y, provenance, resampled
-    row count)``."""
+    """``gen_rul_dataset`` one row at a time: ``(x, y, resampled row
+    count)``."""
     rng = np.random.default_rng(seed)
-    xs, ys, prov, resampled = [], [], [], 0
-    for valve_idx in range(n_valves):
+    xs, ys, resampled = [], [], 0
+    for _ in range(n_valves):
         valve = models._jittered(rng, ValveParams(), 0.02)
         for cycle in range(0, failure_cycle, cycle_step):
             deg = DegradationState(cycle=cycle, failure_cycle=failure_cycle)
@@ -184,9 +189,8 @@ def reference_rul_dataset(n_valves, seed, failure_cycle, cycle_step, noise_std):
                                                         noise_std, sample_seed)
             xs.append((di_dt, auc))
             ys.append(float(failure_cycle - cycle))
-            prov.append(f"synthetic:valve={valve_idx}:cycle={cycle}:seed={used}")
             resampled += used != sample_seed
-    return np.asarray(xs), np.asarray(ys), prov, resampled
+    return np.asarray(xs), np.asarray(ys), resampled
 
 
 def reference_activate(spec, z):

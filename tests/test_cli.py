@@ -62,6 +62,15 @@ class TestSimulate:
         trace = read_trace_csv(out)
         assert trace.samples.max() == pytest.approx(125.0, abs=0.1)
 
+    def test_voltage_rejected_unless_under_voltage(self, capsys, tmp_path):
+        out = tmp_path / "trace.csv"
+        code, _, err = run_cli(capsys, "simulate", "--fault", "good", "--voltage", "10",
+                               "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "applied_voltage" in err
+        assert not out.exists()
+
     def test_bogus_fault_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--fault", "bogus", "--out", str(tmp_path / "x.csv")])
@@ -250,6 +259,17 @@ class TestMonitor:
             assert code == 0
             outputs.append(out)
         assert outputs[0] == outputs[1]
+
+    def test_voltage_rejected_unless_under_voltage(self, capsys, workdir):
+        code, out, err = run_cli(
+            capsys, "monitor",
+            "--fault-model", str(workdir / "fault.pmnn"),
+            "--rul-model", str(workdir / "rul.pmnn"),
+            "--scenario", "good", "--voltage", "10", "--cycles", "2")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "applied_voltage" in err
 
     def test_trace_file_scenario(self, capsys, workdir, tmp_path):
         trace = tmp_path / "t.csv"

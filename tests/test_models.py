@@ -62,8 +62,7 @@ def toy_fault_dataset(n_per_class=40, seed=0):
         for _ in range(n_per_class):
             xs.append((d + rng.normal(0, 0.2), a + rng.normal(0, 1.0)))
             ys.append(label)
-    return Dataset(np.asarray(xs), np.asarray(ys), "fault",
-                   ["toy"] * (4 * n_per_class))
+    return Dataset(np.asarray(xs), np.asarray(ys), "fault")
 
 
 class TestSplit:
@@ -73,8 +72,8 @@ class TestSplit:
 
     def test_disjoint_union(self, fault_dataset):
         tr, va, te = split_dataset(fault_dataset, seed=1)
-        seen = sorted(tr.provenance + va.provenance + te.provenance)
-        assert seen == sorted(fault_dataset.provenance)
+        seen = sorted(map(tuple, np.concatenate([tr.x, va.x, te.x]).tolist()))
+        assert seen == sorted(map(tuple, fault_dataset.x.tolist()))
 
     def test_stratified_within_one_row(self, fault_dataset):
         tr, va, te = split_dataset(fault_dataset, seed=2)
@@ -95,8 +94,7 @@ class TestSplit:
         # one row per class: 70/20/10 puts every row in the training part
         with pytest.raises(ParameterError):
             split_dataset(fault_dataset.subset(np.array([0, 600, 800, 1000])), seed=0)
-        rul = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([9.0, 8.0]), "rul",
-                      ["a", "b"])
+        rul = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([9.0, 8.0]), "rul")
         with pytest.raises(ParameterError):
             split_dataset(rul, seed=0)
 
@@ -126,12 +124,8 @@ class TestGenerators:
         assert ds.y[-1] == 5.0
 
     def test_rul_monotone_labels_within_valve(self, rul_dataset):
-        per_valve = {}
-        for (di, auc), y, prov in zip(rul_dataset.x, rul_dataset.y,
-                                      rul_dataset.provenance):
-            per_valve.setdefault(prov.split(":")[1], []).append(y)
-        assert len(per_valve) == 4
-        for targets in per_valve.values():
+        per_valve = rul_dataset.y.reshape(4, 300)  # rows run valve by valve, 300 each
+        for targets in per_valve:
             assert all(a > b for a, b in zip(targets, targets[1:]))
 
     def test_rul_bad_args(self):
@@ -150,11 +144,10 @@ class TestDatasetOracle:
     ])
     def test_fault_rows_match_per_row_loop(self, seed, counts, noise, resampled):
         ds = gen_fault_dataset(counts=counts, seed=seed, noise_std=noise)
-        x, y, prov, n_resampled = reference_fault_dataset(counts, seed, noise)
+        x, y, n_resampled = reference_fault_dataset(counts, seed, noise)
         assert (n_resampled > 0) == resampled
         assert np.array_equal(ds.x, x)
         assert np.array_equal(ds.y, y)
-        assert ds.provenance == prov
 
     @pytest.mark.parametrize("seed, n_valves, failure_cycle, noise, resampled", [
         (0, 2, 1500, 0.5, False),
@@ -164,12 +157,10 @@ class TestDatasetOracle:
                                          resampled):
         ds = gen_rul_dataset(n_valves=n_valves, seed=seed, failure_cycle=failure_cycle,
                              noise_std=noise)
-        x, y, prov, n_resampled = reference_rul_dataset(n_valves, seed, failure_cycle, 5,
-                                                        noise)
+        x, y, n_resampled = reference_rul_dataset(n_valves, seed, failure_cycle, 5, noise)
         assert (n_resampled > 0) == resampled
         assert np.array_equal(ds.x, x)
         assert np.array_equal(ds.y, y)
-        assert ds.provenance == prov
 
     def test_retries_run_out_as_in_per_row_loop(self):
         # a 30 mA valve never clears the 40 mA edge threshold, whatever the seed
@@ -192,7 +183,7 @@ class TestEvaluate:
         corners = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
         xs = np.tile(corners, (5, 1))
         ys = np.tile(np.arange(4), 5)
-        ds = Dataset(xs, ys, "fault", ["stub"] * 20)
+        ds = Dataset(xs, ys, "fault")
         w = 60.0 * corners  # logit c peaks exactly on corner c
         m = Mlp([LayerSpec(2, 4, Activation.SOFTMAX)], [w], [np.zeros(4)],
                 np.zeros(2), np.ones(2), ModelKind.CLASSIFIER)
@@ -211,8 +202,7 @@ class TestEvaluate:
         assert np.allclose(report.confusion, 0.25, atol=1e-12)
 
     def test_regression_report(self):
-        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([10.0, 20.0]),
-                     "rul", ["stub"] * 2)
+        ds = Dataset(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([10.0, 20.0]), "rul")
         m = Mlp([LayerSpec(2, 1, Activation.LINEAR)], [np.zeros((1, 2))],
                 [np.array([15.0])], np.zeros(2), np.ones(2),
                 kind=ModelKind.REGRESSOR)

@@ -1,12 +1,13 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from reference import adc_quantize, lsb_ma, raw_to_current
+from reference import GAIN, adc_quantize, lsb_ma, raw_to_current
 from valvehealth.errors import CsvFormatError, ParameterError
 from valvehealth.features import extract_all
-from valvehealth.waveform import (AdcConfig, DegradationState, FaultCondition,
+from valvehealth.waveform import (BOARD_ADC, DegradationState, FaultCondition,
                                   FaultKind, TransientTrace, ValveParams,
                                   codes_to_current, current_to_codes,
                                   current_to_voltage, effective_transient,
@@ -75,24 +76,22 @@ class TestAdc:
             raw_to_current(-1)
 
     def test_round_trip_within_one_lsb(self):
-        adc = AdcConfig()
         for i in np.linspace(0.0, 270.0, 2000):
-            code = adc_quantize(current_to_voltage(i, adc.gain), adc)
-            back = raw_to_current(code, adc)
-            assert abs(back - i) <= lsb_ma(adc)
+            code = adc_quantize(current_to_voltage(i, GAIN))
+            back = raw_to_current(code)
+            assert abs(back - i) <= lsb_ma()
 
     def test_vector_helpers_match_scalar_path(self):
-        adc = AdcConfig()
         currents = np.linspace(-5.0, 300.0, 500)
-        codes = current_to_codes(currents, adc)
+        codes = current_to_codes(currents)
         for i, c in zip(currents, codes):
-            assert c == adc_quantize(current_to_voltage(i, adc.gain), adc)
-        back = codes_to_current(codes, adc)
+            assert c == adc_quantize(current_to_voltage(i, GAIN))
+        back = codes_to_current(codes, BOARD_ADC)
         for c, b in zip(codes, back):
-            assert b == raw_to_current(int(c), adc)
+            assert b == raw_to_current(int(c))
 
     def test_table_lookup_equals_formula_on_every_code(self):
-        adc = AdcConfig()
+        adc = BOARD_ADC
         codes = np.arange(adc.max_code + 1, dtype=np.int32)
         formula = codes.astype(np.float64) / adc.max_code * adc.full_scale / adc.gain * 1000.0
         assert codes_to_current(codes, adc).tobytes() == formula.tobytes()
@@ -110,9 +109,9 @@ class TestAdc:
 
     def test_bits_bounds(self):
         with pytest.raises(ParameterError):
-            AdcConfig(bits=7)
+            dataclasses.replace(BOARD_ADC, bits=7)
         with pytest.raises(ParameterError):
-            AdcConfig(bits=17)
+            dataclasses.replace(BOARD_ADC, bits=17)
 
 
 class TestValveParams:
@@ -178,7 +177,6 @@ class TestSynthTransient:
     def test_delta_ecv_matches_closed_form_within_one_lsb(self):
         # the upper and lower ECV windows of the extracted feature set must
         # reproduce the analog generator's window means up to quantization
-        adc = AdcConfig()
         p = ValveParams()
         tr = synth_transient(p, GOOD, FRESH)
         (ft,), _ = extract_all(tr)
@@ -186,10 +184,10 @@ class TestSynthTransient:
         t = (np.arange(tr.samples.size) - LEAD) * 1.0
         analog_upper = transient_current(p, GOOD, FRESH, t[z + 30: z + 50]).mean()
         analog_lower = transient_current(p, GOOD, FRESH, t[z - 50: z]).mean()
-        assert abs(ft.delta_ecv - (analog_upper - analog_lower)) <= lsb_ma(adc)
+        assert abs(ft.delta_ecv - (analog_upper - analog_lower)) <= lsb_ma()
         # with the fast default rise the upper window is settled, so the
         # delta also lands within one LSB of settling - idle
-        assert abs(ft.delta_ecv - (p.settling_current - p.idle_current)) <= lsb_ma(adc)
+        assert abs(ft.delta_ecv - (p.settling_current - p.idle_current)) <= lsb_ma()
 
     def test_under_voltage_scaling_rule(self):
         p = ValveParams()
@@ -273,9 +271,8 @@ class TestSynthTransient:
             synth_transient(ValveParams(), GOOD, FRESH, noise_std=float("inf"))
 
     def test_samples_live_on_lsb_grid(self):
-        adc = AdcConfig()
         tr = synth_transient(ValveParams(), GOOD, FRESH, noise_std=2.0, seed=9)
-        codes = tr.samples / lsb_ma(adc)
+        codes = tr.samples / lsb_ma()
         assert np.allclose(codes, np.round(codes), atol=1e-9)
 
 
