@@ -1,42 +1,39 @@
 """Lossless double-buffered sample acquisition.
 
-Two fixed banks alternate roles: a producer fills one while a consumer holds
-the other. When the active bank fills, the roles switch atomically and the
-just-filled bank is handed to the consumer as an immutable view that stays
-valid until the consumer calls ``handle.release()``. If a bank must be
+Two fixed banks alternate roles: the producer fills one while the consumer
+holds the other. When the active bank fills, the roles switch atomically and
+the just-filled bank is handed to the consumer as an immutable view that
+stays valid until the consumer calls ``handle.release()``. If a bank must be
 refilled while the consumer still holds it, the write proceeds (newest data
 wins) and the overrun counter increments, so data loss is counted, never
-silent. ``run_acquisition`` owns the buffer; the consumer sees only handles.
+silent. The buffer is safe for one producer thread and one consumer thread.
 
 The producer moves data a block at a time: each block is at most the active
 bank's free space and is copied in with one slice assignment, so a bank
-costs one copy, not K per-sample stores. Under the realtime clock the
-producer writes each block into its own active bank as soon as the
-previous bank is handed over, which the consumer cannot see, then sleeps
-once, until the block's last sample is due; at the due time it only
-switches banks and puts the handle on a ``queue.SimpleQueue``, whose
-``put`` and ``get`` run in C. A bank handed to the consumer stays its own
-for one fill duration unless released first: a producer that wakes late
-and catches up waits for the release before reusing the bank, so an
-overrun always means the consumer held a bank for longer than ``K / fs``.
-A handle whose bank was reused before the consumer thread took it off the
-queue is counted as that overrun and never delivered, so a slow consumer
-skips the banks it missed instead of reading overwritten data and falling
-ever further behind.
+costs one copy, not K per-sample stores.
+
+``run_acquisition`` owns the buffer and runs producer and consumer on one
+thread; the consumer sees only handles. On the board a DMA fills one bank
+while the CPU works on the other. Under the realtime clock the loop keeps
+that DMA's schedule as numbers and sleeps until each bank is due, so an
+overrun means exactly that the consumer did not have a bank for its window
+of ``B_fd = K / fs``: the bank waited for a busy consumer until its window
+closed (it is skipped, never delivered with overwritten data), or the
+consumer released it after the window closed, or still held it at the
+switch that reused it. A slow consumer thus skips the banks it missed
+instead of falling ever further behind, and the loop's own late wake-ups
+are never counted against it.
 
 Timing algebra for a bank of K samples at rate fs with actuations at f_op:
 
     buffer_fill_duration = K / fs
     max_cycles           = K * f_op / fs
-
-Single producer, single consumer only.
 """
 
 from __future__ import annotations
 
 import itertools
 import numbers
-import queue
 import threading
 import time
 from dataclasses import dataclass
@@ -61,15 +58,19 @@ def max_cycles(k: int, f_op: float, fs: float) -> float:
 
 
 class BankHandle:
-    """Read-only view of a filled bank, valid until released."""
+    """Read-only view of a filled bank, valid until released.
 
-    __slots__ = ("bank_index", "seq", "data", "_buf")
+    ``deadline`` is the ``time.perf_counter()`` time after which a release
+    counts an overrun (None: never, as under the virtual clock)."""
+
+    __slots__ = ("bank_index", "seq", "data", "deadline", "_buf")
 
     def __init__(self, buf: PingPongBuffer, bank_index: int, seq: int, data: np.ndarray):
         self._buf = buf
         self.bank_index = bank_index
         self.seq = seq
         self.data = data
+        self.deadline = None
 
     def release(self) -> None:
         """Return the bank to the producer; releasing a stale handle is a no-op."""
@@ -96,8 +97,6 @@ class PingPongBuffer:
         self._held: list[BankHandle | None] = [None, None]
         self._overruns = 0
         self._lock = threading.Lock()
-        self._released = threading.Condition(self._lock)
-        self._waiting = False  # the producer waits in wait_incoming
 
     @property
     def overrun_count(self) -> int:
@@ -108,12 +107,16 @@ class PingPongBuffer:
         """Samples the active bank can still take before it switches."""
         return self.k - self._write_pos
 
-    def _hand_out(self, bank_index: int, length: int) -> BankHandle:
-        view = self._views[bank_index]
-        handle = BankHandle(self, bank_index, self._seq,
-                            view if length == self.k else view[:length])
-        self._held[bank_index] = handle
+    def _hand_out(self, length: int) -> BankHandle:
+        """Hand out the active bank's first ``length`` codes and make the
+        other bank active; the caller holds the lock."""
+        filled = self._active
+        view = self._views[filled]
+        handle = BankHandle(self, filled, self._seq, view if length == self.k else view[:length])
+        self._held[filled] = handle
         self._seq += 1
+        self._active = 1 - filled
+        self._write_pos = 0
         return handle
 
     def push_block(self, codes) -> BankHandle | None:
@@ -126,12 +129,6 @@ class PingPongBuffer:
         an overrun if the consumer still holds it (its outstanding handle
         then observes overwrites).
         """
-        return self._switch() if self._write(codes) else None
-
-    def _write(self, codes) -> bool:
-        """The write half of ``push_block``: the block lands in the active
-        bank, which no handle exposes, and the banks do not switch. Returns
-        whether the bank is now full."""
         same = type(codes) is np.ndarray and codes.dtype == self.dtype
         block = codes if same else np.asarray(codes)
         start = self._write_pos
@@ -148,49 +145,28 @@ class PingPongBuffer:
                     raise OverflowError(f"codes in [{lo}, {hi}] do not fit {self.dtype}")
         self._banks[self._active][start:end] = block
         self._write_pos = end
-        return end == self.k
-
-    def _switch(self) -> BankHandle:
-        """The switch half of ``push_block``, once the active bank is full:
-        hand it out and make the other bank active."""
+        if end < self.k:
+            return None
         with self._lock:
-            filled = self._active
-            incoming = 1 - filled
+            incoming = 1 - self._active
             if self._held[incoming] is not None:
                 self._overruns += 1
                 self._held[incoming] = None  # stale: about to be overwritten
-            handle = self._hand_out(filled, self.k)
-            self._active = incoming
-            self._write_pos = 0
-        return handle
+            return self._hand_out(self.k)
 
     def flush(self) -> BankHandle | None:
         """Deliver the partially filled active bank (end of stream)."""
         if self._write_pos == 0:
             return None
         with self._lock:
-            filled = self._active
-            handle = self._hand_out(filled, self._write_pos)
-            self._active = 1 - filled
-            self._write_pos = 0
-        return handle
+            return self._hand_out(self._write_pos)
 
     def _release(self, handle: BankHandle) -> None:
         with self._lock:
             if self._held[handle.bank_index] is handle:
                 self._held[handle.bank_index] = None
-                if self._waiting:
-                    self._released.notify()
-
-    def wait_incoming(self, timeout: float) -> None:
-        """Wait up to ``timeout`` seconds for the consumer to release the
-        bank that the next switch reuses; returns at once if it is free."""
-        if self._held[1 - self._active] is None:  # only the producer hands a bank out
-            return
-        with self._released:
-            self._waiting = True
-            self._released.wait_for(lambda: self._held[1 - self._active] is None, timeout)
-            self._waiting = False
+                if handle.deadline is not None and time.perf_counter() > handle.deadline:
+                    self._overruns += 1
 
 
 @dataclass
@@ -199,10 +175,13 @@ class TimingReport:
 
     ``inference_time_per_buffer`` is the wall-clock mean of the consumer
     calls in seconds (IT_pb; None when no bank was delivered). The run was
-    lossless exactly when ``overrun_count`` is 0, i.e. no bank was reused
-    before release. ``producer_lag_max`` is the worst lateness, in seconds,
-    of a block push against the due time of its last sample (None under
-    the virtual clock).
+    lossless exactly when ``overrun_count`` is 0: under the virtual clock no
+    bank was reused before release, under the realtime clock the consumer
+    also had every bank for its whole ``B_fd`` window. ``producer_lag_max``
+    is the worst lateness, in seconds, of a bank's handover against the due
+    time of its last sample (None under the virtual clock). Only a source
+    that stalls makes it: a slow consumer delays no handover, so a source
+    that keeps up reads well under ``B_fd`` whatever the consumer does.
     """
 
     inference_time_per_buffer: float | None
@@ -229,86 +208,58 @@ def _blocks(source, buf: PingPongBuffer):
 
 
 def run_acquisition(source, k: int, fs: float, consumer, *, clock: str) -> TimingReport:
-    """Drive a sample stream through a ping-pong buffer of two ``k``-sample
-    banks that the loop owns.
+    """Drive a sample stream through the two ``k``-sample banks of a
+    ping-pong buffer that the loop owns, calling ``consumer(handle)`` inline
+    for every bank; the consumer returns it with ``handle.release()``.
 
-    ``source`` is an ndarray of codes (sliced) or any iterable of them.
-    ``consumer(handle)`` is invoked for every filled bank and returns it
-    with ``handle.release()``; a consumer that holds banks too long causes
-    counted overruns instead of crashes. Each pass reads a block of at most the
-    active bank's free space and writes it whole. With ``clock="virtual"``
-    the consumer runs inline and pushes are unpaced (deterministic, as fast
-    as the machine allows); with ``"realtime"`` the consumer runs on its own
-    thread and the producer, after writing a block, sleeps once, until the
-    block's last sample is due at ``fs`` on the wall clock, so each bank is
-    handed over when its last sample is due; before a switch it waits, for
-    at most the fill duration after the previous handover, for the consumer
-    to release the bank it reuses. The consumer thread skips a handle whose
-    bank was reused while the handle waited for it; that reuse is already
-    an overrun. A consumer that raises stops the producer and the error is
-    re-raised to the caller under either clock.
-    Wall-clock consumer durations are measured in both modes. A trailing
-    partial bank is delivered at the end of the stream.
+    ``source`` is an ndarray of codes (sliced) or any iterable of them; a
+    trailing partial bank is delivered at the end of the stream. With
+    ``clock="virtual"`` nothing is paced and the run is deterministic. With
+    ``"realtime"`` a bank is handed over at ``max(due, previous handover +
+    the time the source took to yield its block)``, ``due`` being its last
+    sample's time at ``fs``, and the loop sleeps until then. The bank is the
+    consumer's for ``B_fd = k / fs`` from that handover, or from when an
+    idle consumer receives it. A bank whose window closed while the
+    consumer was busy is skipped; one skipped or released after its window
+    closed counts one overrun, as does one still held at the switch that
+    reuses it. A consumer that raises stops the run and its error reaches
+    the caller. Consumer durations are measured on the wall clock.
     """
     b_fd = buffer_fill_duration(k, fs)  # validates k, fs
     if clock not in ("virtual", "realtime"):
         raise ParameterError(f"clock must be 'virtual' or 'realtime', got {clock!r}")
+    realtime = clock == "realtime"
     buf = PingPongBuffer(k)
-    start = time.perf_counter()  # sample 0 is due now; starting the worker must not shift it
     durations: list[float] = []
-    crashed: list[Exception] = []
-
-    def timed_consume(handle):
+    lag_max = 0.0 if realtime else None
+    # The DMA's schedule as numbers: the last handover, when this loop last
+    # went back to the source, and when the consumer was done with its last
+    # bank on the DMA's clock (from when it could take the bank, so a late
+    # wake-up of this loop is not the consumer's busy time).
+    start = handover = read_from = free = time.perf_counter()  # sample 0 is due now
+    for block in _blocks(source, buf):
+        handle = buf.push_block(block) or buf.flush()  # a short block ends the stream
+        if realtime:
+            now = time.perf_counter()
+            due = start + (handle.seq * k + handle.data.size - 1) / fs
+            handover = max(due, handover + now - read_from)  # a stalling source delays the DMA
+            lag_max = max(lag_max, handover - due)
+            wait = max(free - handover, 0.0)  # the bank waited for a busy consumer
+            if wait > b_fd:  # its window closed while the consumer was busy:
+                # skip the bank; releasing it now is late, one overrun
+                handle.deadline = handover + b_fd
+                handle.release()
+                read_from = now
+                continue
+            if handover > now:
+                time.sleep(handover - now)
+            handle.deadline = time.perf_counter() + b_fd - wait
         t0 = time.perf_counter()
         consumer(handle)
-        durations.append(time.perf_counter() - t0)
-
-    realtime = clock == "realtime"
-    if realtime:
-        handoff: queue.SimpleQueue = queue.SimpleQueue()
-
-        def worker():
-            try:
-                for handle in iter(handoff.get, None):
-                    if buf._held[handle.bank_index] is handle:  # else reused: an overrun
-                        timed_consume(handle)
-            except Exception as err:  # re-raised by the producer's thread
-                crashed.append(err)
-
-        thread = threading.Thread(target=worker, daemon=True)
-        thread.start()
-        deliver = handoff.put
-    else:
-        deliver = timed_consume
-    lag_max = 0.0 if realtime else None
-    pushed = 0
-    reuse_at = start  # a handed-over bank is the consumer's for B_fd unless released
-    try:
-        for block in _blocks(source, buf):
-            full = buf._write(block)  # into the active bank, which no handle exposes
-            pushed += block.size
-            if realtime:
-                due = start + (pushed - 1) / fs
-                delay = due - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
-                if full:  # the switch reuses the other bank
-                    buf.wait_incoming(reuse_at - time.perf_counter())
-                lag_max = max(lag_max, time.perf_counter() - due)
-            if full:
-                deliver(buf._switch())
-                reuse_at = time.perf_counter() + b_fd
-            if crashed:
-                break
-        handle = buf.flush()
-        if handle is not None:
-            deliver(handle)
-    finally:
+        read_from = time.perf_counter()
+        durations.append(read_from - t0)
         if realtime:
-            handoff.put(None)
-            thread.join()
-    if crashed:
-        raise crashed[0]
+            free = handover + wait + read_from - t0
 
     mean_it_pb = sum(durations) / len(durations) if durations else None
     return TimingReport(

@@ -140,6 +140,8 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_monitor(args) -> int:
+    if args.voltage is not None and args.scenario not in _FAULT_CHOICES:
+        raise ParameterError(f"--voltage applies to under_voltage, not {args.scenario}")
     fault_model = tinynn.restore(args.fault_model)
     rul_model = tinynn.restore(args.rul_model)
     cfg = MonitorConfig(k=args.k, fs=args.fs, f_op=args.fop,

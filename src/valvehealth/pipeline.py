@@ -21,13 +21,13 @@ Clocks: with ``virtual`` the producer is unpaced, the consumer runs inline
 and all emitted timestamps/latencies are deterministic (sample-derived microseconds
 and processing-step counts). Wall-clock latencies are still measured, IT_pb
 on the returned TimingReport and IT_pc on each event, so performance
-assertions work in either mode. With ``realtime`` the producer writes each
-block before it sleeps, until the block's last sample is due on the wall
-clock, the consumer runs on its own thread, and the emitted times are
-measured microseconds. A consumer that falls behind never sees the banks
-that were reused before it took them (each is a counted overrun); after
-such a gap the carried samples no longer adjoin the next bank, so they are
-dropped and the analysis restarts at that bank.
+assertions work in either mode. With ``realtime`` each bank is handed over
+when its last sample is due on the wall clock, the consumer runs on the
+same thread, and the emitted times are measured microseconds. A consumer
+that falls behind never sees the banks whose ``B_fd`` window closed before
+it was free (each is a counted overrun); after such a gap the carried
+samples no longer adjoin the next bank, so they are dropped and the
+analysis restarts at that bank.
 
 Each event line is written from a template that gives the bytes
 ``json.dumps`` would give, without the encoder's per-call set-up.

@@ -180,6 +180,7 @@ class AdcConfig:
 
 
 BOARD_ADC = AdcConfig(full_scale=3.3, bits=12, gain=12.22)
+_NEXT_CURRENT = np.append(BOARD_ADC._currents[1:], np.inf)  # the current of code + 1
 
 
 @dataclass(frozen=True)
@@ -215,10 +216,17 @@ def current_to_voltage(i_ma: float, gain: float) -> float:
 
 
 def current_to_codes(i_ma: np.ndarray) -> np.ndarray:
-    """Vectorized analog-current to raw-code conversion through ``BOARD_ADC``."""
-    v = np.asarray(i_ma, dtype=np.float64) / 1000.0 * BOARD_ADC.gain
-    clamped = np.clip(v, 0.0, BOARD_ADC.full_scale)
-    return np.floor(clamped / BOARD_ADC.full_scale * BOARD_ADC.max_code).astype(np.int32)
+    """Vectorized analog-current to raw-code conversion through ``BOARD_ADC``.
+
+    Where the floor rounds one below a code whose table current ``i_ma``
+    reaches, the code is raised to it, so every code round-trips through
+    ``codes_to_current``."""
+    i_ma = np.asarray(i_ma, dtype=np.float64)
+    clamped = np.clip(i_ma / 1000.0 * BOARD_ADC.gain, 0.0, BOARD_ADC.full_scale)
+    # the cast truncates, which is the floor of a value >= 0
+    codes = (clamped / BOARD_ADC.full_scale * BOARD_ADC.max_code).astype(np.int32)
+    codes += _NEXT_CURRENT.take(codes) <= i_ma
+    return codes
 
 
 def codes_to_current(codes: np.ndarray, cfg: AdcConfig = BOARD_ADC) -> np.ndarray:

@@ -271,6 +271,30 @@ class TestMonitor:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "applied_voltage" in err
 
+    def test_voltage_rejected_for_degradation(self, capsys, workdir):
+        code, out, err = run_cli(
+            capsys, "monitor",
+            "--fault-model", str(workdir / "fault.pmnn"),
+            "--rul-model", str(workdir / "rul.pmnn"),
+            "--scenario", "degradation", "--voltage", "10", "--cycles", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--voltage" in err
+
+    def test_voltage_rejected_for_trace_file(self, capsys, workdir, tmp_path):
+        trace = tmp_path / "t.csv"
+        run_cli(capsys, "simulate", "--fault", "good", "--out", str(trace))
+        code, out, err = run_cli(
+            capsys, "monitor",
+            "--fault-model", str(workdir / "fault.pmnn"),
+            "--rul-model", str(workdir / "rul.pmnn"),
+            "--scenario", str(trace), "--voltage", "10", "--k", "200")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--voltage" in err
+
     def test_trace_file_scenario(self, capsys, workdir, tmp_path):
         trace = tmp_path / "t.csv"
         run_cli(capsys, "simulate", "--fault", "spool_stuck", "--seed", "2",

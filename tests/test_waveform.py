@@ -98,6 +98,12 @@ class TestAdc:
         assert codes_to_current(codes.astype(np.int64)).tobytes() == formula.tobytes()
         assert codes_to_current(codes.reshape(64, 64)).tobytes() == formula.tobytes()
 
+    def test_every_code_round_trips(self):
+        # a trace CSV holds each code's table current; reading it back must
+        # give the same code, not the one below it where the floor rounds low
+        codes = np.arange(BOARD_ADC.max_code + 1, dtype=np.int32)
+        assert np.array_equal(current_to_codes(codes_to_current(codes)), codes)
+
     @pytest.mark.parametrize("codes", [[-1], [4096], [0, 4096, 5], np.array([-1], np.int8)])
     def test_out_of_range_codes_rejected(self, codes):
         with pytest.raises(ParameterError):
