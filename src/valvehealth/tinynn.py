@@ -23,8 +23,9 @@ bit-exactly while gradient checks still run at float64 resolution.
 Model file layout (little-endian): magic ``PMNN``, version u16, kind u8
 (0 classifier / 1 regressor), layer count u8; per layer in_dim u32,
 out_dim u32, activation u8 (0 linear, 1 relu, 2 leaky relu, 3 softmax),
-alpha f32; per layer weights row-major f32 then biases f32; input dim u32
-with per-feature scaler mean f64 and std f64; trailing CRC32.
+alpha f32; the parameter block, f32 ``W0, b0, W1, b1, ...`` with weights
+row-major; input dim u32; the scaler block, an (input dim, 2) f64 array of
+per-feature (mean, std) rows; trailing CRC32.
 """
 
 from __future__ import annotations
@@ -344,101 +345,77 @@ def train(model: Mlp, train_set, val_set, cfg: TrainConfig) -> TrainHistory:
 
 def serialize(model: Mlp) -> bytes:
     """Encode a model in the binary wire format (with trailing CRC32)."""
-    buf = bytearray()
-    buf += _MAGIC
-    buf += struct.pack("<H", _VERSION)
-    buf += struct.pack("<B", model.kind.value)
-    buf += struct.pack("<B", len(model.layers))
-    for spec in model.layers:
-        buf += struct.pack("<IIBf", spec.in_dim, spec.out_dim,
-                           spec.activation.value, spec.alpha)
-    for w, b in zip(model.weights, model.biases):
-        buf += np.ascontiguousarray(w, dtype="<f4").tobytes()
-        buf += np.ascontiguousarray(b, dtype="<f4").tobytes()
-    buf += struct.pack("<I", model.in_dim)
-    for m, s in zip(model.scaler_mean, model.scaler_std):
-        buf += struct.pack("<dd", m, s)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    return bytes(buf)
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.offset = 0
-
-    def take(self, n: int, what: str) -> bytes:
-        if self.offset + n > len(self.data):
-            raise ModelFormatError(f"truncated while reading {what}", self.offset)
-        chunk = self.data[self.offset:self.offset + n]
-        self.offset += n
-        return chunk
-
-    def unpack(self, fmt: str, what: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+    params = np.concatenate([a.ravel() for pair in zip(model.weights, model.biases)
+                             for a in pair], dtype="<f4")
+    scaler = np.stack([model.scaler_mean, model.scaler_std], axis=1).astype("<f8")
+    body = b"".join([
+        struct.pack("<4sHBB", _MAGIC, _VERSION, model.kind.value, len(model.layers)),
+        *(struct.pack("<IIBf", spec.in_dim, spec.out_dim, spec.activation.value, spec.alpha)
+          for spec in model.layers),
+        params.tobytes(), struct.pack("<I", model.in_dim), scaler.tobytes()])
+    return body + struct.pack("<I", zlib.crc32(body))
 
 
 def deserialize(data: bytes) -> Mlp:
-    """Decode the binary wire format, validating structure and CRC."""
-    r = _Reader(data)
-    if r.take(4, "magic") != _MAGIC:
+    """Decode the binary wire format. Every defect raises ``ModelFormatError``
+    with the byte offset of its field; one that only ``Mlp`` finds in the
+    parameters, which the checksum covers, is at the checksum's offset."""
+    offset = 0
+
+    def take(fmt: str, what: str) -> tuple:
+        """Unpack ``fmt`` at the read offset and move past it."""
+        nonlocal offset
+        start, offset = offset, offset + struct.calcsize(fmt)
+        if offset > len(data):
+            raise ModelFormatError(f"truncated while reading {what}", start)
+        return struct.unpack_from(fmt, data, start)
+
+    magic, version, kind_code, n_layers = take("<4sHBB", "header")
+    if magic != _MAGIC:
         raise ModelFormatError("bad magic, expected PMNN", 0)
-    (version,) = r.unpack("<H", "version")
     if version != _VERSION:
         raise ModelFormatError(f"unsupported format version {version}", 4)
-    kind_offset = r.offset
-    (kind_code,) = r.unpack("<B", "model kind")
     if kind_code not in (0, 1):
-        raise ModelFormatError(f"unknown model kind {kind_code}", kind_offset)
-    (n_layers,) = r.unpack("<B", "layer count")
+        raise ModelFormatError(f"unknown model kind {kind_code}", 6)
     if n_layers == 0:
-        raise ModelFormatError("layer count must be >= 1", r.offset - 1)
+        raise ModelFormatError("layer count must be >= 1", 7)
 
     specs = []
     for i in range(n_layers):
-        spec_offset = r.offset
-        in_dim, out_dim, act_code, alpha = r.unpack("<IIBf", f"layer {i} spec")
+        spec_offset = offset
+        in_dim, out_dim, act_code, alpha = take("<IIBf", f"layer {i} spec")
         try:
-            activation = Activation(act_code)
-        except ValueError:
-            raise ModelFormatError(f"unknown activation code {act_code}", spec_offset + 8) from None
-        if in_dim < 1 or out_dim < 1:
-            raise ModelFormatError(f"layer {i} has zero dimension", spec_offset)
-        specs.append(LayerSpec(in_dim, out_dim, activation, alpha))
+            specs.append(LayerSpec(in_dim, out_dim, Activation(act_code), alpha))
+        except ValueError as err:
+            raise ModelFormatError(f"bad layer {i} spec: {err}", spec_offset) from err
 
-    weights, biases = [], []
-    for i, spec in enumerate(specs):
-        w_bytes = r.take(4 * spec.in_dim * spec.out_dim, f"layer {i} weights")
-        b_bytes = r.take(4 * spec.out_dim, f"layer {i} biases")
-        w = np.frombuffer(w_bytes, dtype="<f4").reshape(spec.out_dim, spec.in_dim)
-        weights.append(w.astype(np.float64))
-        biases.append(np.frombuffer(b_bytes, dtype="<f4").astype(np.float64))
+    sizes = [n for spec in specs for n in (spec.out_dim * spec.in_dim, spec.out_dim)]
+    # capped at the file's length: a block too long for struct is truncation
+    (raw,) = take(f"{min(4 * sum(sizes), len(data))}s", "weights and biases")
+    flat = np.frombuffer(raw, "<f4").astype(np.float64)
+    bounds = np.cumsum([0, *sizes]).tolist()
+    params = [flat[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    weights = [w.reshape(spec.out_dim, spec.in_dim) for w, spec in zip(params[0::2], specs)]
 
-    dim_offset = r.offset
-    (scaler_dim,) = r.unpack("<I", "scaler dimension")
+    dim_offset = offset
+    (scaler_dim,) = take("<I", "scaler dimension")
     if scaler_dim != specs[0].in_dim:
-        raise ModelFormatError(
-            f"scaler dimension {scaler_dim} does not match input dim {specs[0].in_dim}",
-            dim_offset)
-    means, stds = [], []
-    for i in range(scaler_dim):
-        m, s = r.unpack("<dd", f"scaler entry {i}")
-        means.append(m)
-        stds.append(s)
+        raise ModelFormatError(f"scaler dimension {scaler_dim} does not match input "
+                               f"dim {specs[0].in_dim}", dim_offset)
+    (raw,) = take(f"{16 * scaler_dim}s", "scaler")
+    means, stds = np.frombuffer(raw, "<f8").reshape(scaler_dim, 2).T.copy()
 
-    crc_offset = r.offset
-    (stored_crc,) = r.unpack("<I", "checksum")
-    if r.offset != len(data):
-        raise ModelFormatError("trailing bytes after checksum", r.offset)
+    crc_offset = offset
+    (stored_crc,) = take("<I", "checksum")
+    if offset != len(data):
+        raise ModelFormatError("trailing bytes after checksum", offset)
     actual_crc = zlib.crc32(data[:crc_offset])
     if stored_crc != actual_crc:
-        raise ModelFormatError(
-            f"checksum mismatch: stored {stored_crc:#010x}, computed {actual_crc:#010x}",
-            crc_offset)
+        raise ModelFormatError(f"checksum mismatch: stored {stored_crc:#010x}, "
+                               f"computed {actual_crc:#010x}", crc_offset)
 
     try:
-        return Mlp(specs, weights, biases, np.asarray(means), np.asarray(stds),
-                   ModelKind(kind_code))
+        return Mlp(specs, weights, params[1::2], means, stds, ModelKind(kind_code))
     except (ParameterError, ShapeError) as err:
         raise ModelFormatError(f"inconsistent model: {err}", crc_offset) from err
 

@@ -220,8 +220,11 @@ def current_to_codes(i_ma: np.ndarray) -> np.ndarray:
 
     Where the floor rounds one below a code whose table current ``i_ma``
     reaches, the code is raised to it, so every code round-trips through
-    ``codes_to_current``."""
+    ``codes_to_current``. Finite currents saturate at codes 0 and
+    ``max_code``; a non-finite one raises ``ParameterError``."""
     i_ma = np.asarray(i_ma, dtype=np.float64)
+    if not np.logical_and.reduce(np.isfinite(i_ma), axis=None):
+        raise ParameterError("currents must be finite")
     clamped = np.clip(i_ma / 1000.0 * BOARD_ADC.gain, 0.0, BOARD_ADC.full_scale)
     # the cast truncates, which is the floor of a value >= 0
     codes = (clamped / BOARD_ADC.full_scale * BOARD_ADC.max_code).astype(np.int32)

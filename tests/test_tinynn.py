@@ -1,4 +1,6 @@
 import math
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -533,6 +535,35 @@ class TestSerialization:
         blob = serialize(small_net()) + b"x"
         with pytest.raises(ModelFormatError):
             deserialize(blob)
+
+    @pytest.mark.parametrize("field, fmt, value", [
+        (9, "<f", math.nan), (9, "<f", math.inf), (9, "<f", -math.inf),  # alpha
+        (8, "<B", 7),  # activation code
+        (0, "<I", 0),  # in_dim
+    ])
+    def test_spec_rejected_by_layer_spec_despite_valid_crc(self, field, fmt, value):
+        blob = bytearray(serialize(small_net())[:-4])
+        spec = 8  # layer 0's spec follows the 8-byte header
+        struct.pack_into(fmt, blob, spec + field, value)
+        blob += struct.pack("<I", zlib.crc32(blob))
+        with pytest.raises(ModelFormatError) as err:
+            deserialize(bytes(blob))
+        assert err.value.offset == spec
+
+    def test_block_too_long_for_struct_is_truncation(self):
+        # layer 0 claims 2**64 weights: more bytes than struct can size
+        blob = bytearray(serialize(small_net())[:-4])
+        struct.pack_into("<II", blob, 8, 2**32 - 1, 2**32 - 1)
+        blob += struct.pack("<I", zlib.crc32(blob))
+        with pytest.raises(ModelFormatError, match="truncated") as err:
+            deserialize(bytes(blob))
+        assert err.value.offset == 8 + 2 * 13
+
+    def test_every_proper_prefix_rejected(self):
+        blob = serialize(small_net())
+        for cut in range(len(blob)):
+            with pytest.raises(ModelFormatError):
+                deserialize(blob[:cut])
 
     def test_softmax_only_final_layer(self):
         with pytest.raises(ParameterError):

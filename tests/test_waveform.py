@@ -82,7 +82,7 @@ class TestAdc:
             assert abs(back - i) <= lsb_ma()
 
     def test_vector_helpers_match_scalar_path(self):
-        currents = np.linspace(-5.0, 300.0, 500)
+        currents = np.append(np.linspace(-5.0, 300.0, 500), [-1e300, 1e300])
         codes = current_to_codes(currents)
         for i, c in zip(currents, codes):
             assert c == adc_quantize(current_to_voltage(i, GAIN))
@@ -103,6 +103,11 @@ class TestAdc:
         # give the same code, not the one below it where the floor rounds low
         codes = np.arange(BOARD_ADC.max_code + 1, dtype=np.int32)
         assert np.array_equal(current_to_codes(codes_to_current(codes)), codes)
+
+    @pytest.mark.parametrize("current", [math.nan, math.inf, -math.inf])
+    def test_non_finite_current_rejected(self, current):
+        with pytest.raises(ParameterError):
+            current_to_codes(np.array([1.0, current, 1e300]))
 
     @pytest.mark.parametrize("codes", [[-1], [4096], [0, 4096, 5], np.array([-1], np.int8)])
     def test_out_of_range_codes_rejected(self, codes):
